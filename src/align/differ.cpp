@@ -105,22 +105,28 @@ std::optional<Trace> remove_call(const Trace& t, std::size_t victim) {
 
 }  // namespace
 
-std::optional<Discrepancy> diff_trace(CloudBackend& cloud, CloudBackend& emulator,
-                                      const GenTrace& gen) {
-  auto cloud_resp = run_trace(cloud, gen.trace);
-  auto emu_resp = run_trace(emulator, gen.trace);
+std::optional<Discrepancy> diff_responses(const GenTrace& gen,
+                                          const std::vector<ApiResponse>& cloud,
+                                          const std::vector<ApiResponse>& emulator) {
   for (std::size_t i = 0; i < gen.trace.calls.size(); ++i) {
-    if (cloud_resp[i].aligned_with(emu_resp[i])) continue;
+    if (cloud[i].aligned_with(emulator[i])) continue;
     Discrepancy d;
     d.trace = gen.trace;
     d.call_index = i;
-    d.cloud = cloud_resp[i];
-    d.emulator = emu_resp[i];
-    d.kind = classify(cloud_resp[i], emu_resp[i]);
+    d.cloud = cloud[i];
+    d.emulator = emulator[i];
+    d.kind = classify(cloud[i], emulator[i]);
     d.cls = gen.cls;
     return d;
   }
   return std::nullopt;
+}
+
+std::optional<Discrepancy> diff_trace(CloudBackend& cloud, CloudBackend& emulator,
+                                      const GenTrace& gen) {
+  auto cloud_resp = run_trace(cloud, gen.trace);
+  auto emu_resp = run_trace(emulator, gen.trace);
+  return diff_responses(gen, cloud_resp, emu_resp);
 }
 
 Discrepancy shrink(CloudBackend& cloud, CloudBackend& emulator, Discrepancy d) {

@@ -34,8 +34,13 @@ struct Discrepancy {
   std::string to_text() const;
 };
 
-/// Run `trace` on both backends; the first misaligned call becomes a
-/// Discrepancy (nullopt when fully aligned).
+/// Compare the responses of one replay of `gen` on each backend; the first
+/// misaligned call becomes a Discrepancy (nullopt when fully aligned).
+std::optional<Discrepancy> diff_responses(const GenTrace& gen,
+                                          const std::vector<ApiResponse>& cloud,
+                                          const std::vector<ApiResponse>& emulator);
+
+/// Run `trace` on both backends and diff_responses() the results.
 std::optional<Discrepancy> diff_trace(CloudBackend& cloud, CloudBackend& emulator,
                                       const GenTrace& gen);
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <map>
+#include <utility>
 
 #include "align/parallel.h"
 #include "common/strings.h"
@@ -38,14 +39,29 @@ AlignmentEngine::AlignmentEngine(interp::Interpreter& emulator, CloudBackend& cl
                                  AlignmentOptions opts)
     : emu_(emulator), cloud_(cloud), opts_(opts) {}
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+}  // namespace
+
 AlignmentReport AlignmentEngine::run() {
   AlignmentReport report;
 
   for (int round = 0; round < opts_.max_rounds; ++round) {
     RoundStats stats;
-    // Regenerate from the CURRENT (possibly already repaired) spec.
-    TraceGenerator gen(emu_.spec());
-    std::vector<GenTrace> traces = gen.generate_all();
+    // Regenerate from the CURRENT (possibly already repaired) spec, on the
+    // differential pass's worker count (the corpus is identical for every
+    // count). The generator indexes the spec, so it must not outlive this
+    // statement: repairs below replace the spec.
+    auto t0 = Clock::now();
+    std::vector<GenTrace> traces =
+        TraceGenerator(emu_.spec()).generate_all(opts_.workers);
+    stats.gen_wall_ms = ms_since(t0);
     stats.traces = traces.size();
     for (const auto& g : traces) stats.api_calls += g.trace.calls.size();
 
@@ -55,11 +71,9 @@ AlignmentReport AlignmentEngine::run() {
     // below — discrepancy order and evidence content — is identical to a
     // serial run regardless of worker count.
     ParallelExecutor executor(cloud_, emu_, opts_.workers, opts_.collect_metrics);
-    auto t0 = std::chrono::steady_clock::now();
+    t0 = Clock::now();
     std::vector<TraceOutcome> outcomes = executor.execute(traces);
-    stats.diff_wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
+    stats.diff_wall_ms = ms_since(t0);
     stats.workers = executor.effective_workers();
     stats.metrics = executor.metrics();
     stats.traces_per_sec = stats.diff_wall_ms > 0
@@ -68,27 +82,30 @@ AlignmentReport AlignmentEngine::run() {
                                : 0.0;
 
     std::vector<Discrepancy> found;
-    // Evidence for enum-precondition inference, keyed by
-    // (machine, transition, attr): per-member cloud outcome.
-    std::map<std::string, StateEvidence> evidence;
-    std::map<std::string, std::pair<std::string, std::string>> evidence_site;
-    std::map<std::string, std::string> evidence_attr;
+    // Evidence for enum-precondition inference, indexed by
+    // (machine, transition) site, then by attr: per-member cloud outcome.
+    // Attrs iterate in name order, the order repairs are applied in.
+    struct EvidenceRow {
+      StateEvidence evidence;
+      bool checked = false;
+    };
+    std::map<std::pair<std::string, std::string>, std::map<std::string, EvidenceRow>>
+        evidence;
 
     for (std::size_t i = 0; i < traces.size(); ++i) {
       const GenTrace& g = traces[i];
       TraceOutcome& o = outcomes[i];
       // Record sweep outcomes (aligned or not) for predicate inference.
       if (g.cls.kind == ClassKind::kStateSweep && o.have_probe_outcome) {
-        std::string key = strf(g.cls.machine, "::", g.cls.transition, "::", g.cls.sweep_attr);
-        evidence[key].outcome_by_member[g.cls.sweep_value] = o.probe_outcome;
-        evidence_site[key] = {g.cls.machine, g.cls.transition};
-        evidence_attr[key] = g.cls.sweep_attr;
+        evidence[{g.cls.machine, g.cls.transition}][g.cls.sweep_attr]
+            .evidence.outcome_by_member[g.cls.sweep_value] = o.probe_outcome;
       }
       // The happy path is the evidence row for every swept attribute's
       // INITIAL member (sweeps skip it).
       if (g.cls.kind == ClassKind::kHappyPath && o.have_probe_outcome) {
         const spec::StateMachine* m = emu_.spec().find_machine(g.cls.machine);
         if (m != nullptr) {
+          auto& rows = evidence[{g.cls.machine, g.cls.transition}];
           for (const auto& sv : m->states) {
             std::string member;
             if (sv.type.kind == spec::TypeKind::kEnum && sv.initial.is_str()) {
@@ -98,11 +115,7 @@ AlignmentReport AlignmentEngine::run() {
             } else {
               continue;
             }
-            std::string key =
-                strf(g.cls.machine, "::", g.cls.transition, "::", sv.name);
-            evidence[key].outcome_by_member[member] = o.probe_outcome;
-            evidence_site[key] = {g.cls.machine, g.cls.transition};
-            evidence_attr[key] = sv.name;
+            rows[sv.name].evidence.outcome_by_member[member] = o.probe_outcome;
           }
         }
       }
@@ -123,47 +136,48 @@ AlignmentReport AlignmentEngine::run() {
       break;
     }
 
-    // Augment evidence with each happy-path/sweep divergence's machine
-    // initial-state outcome: a CloudErrEmuOk happy path on a machine with
-    // an enum state var contributes the initial member's failure.
+    t0 = Clock::now();
     Repairer repairer(emu_, cloud_);
     std::size_t repaired = 0;
+    auto record = [&](RepairAction action) {
+      report.log.push_back("  repair: " + action.to_text());
+      report.repairs.push_back(std::move(action));
+      ++repaired;
+    };
 
     // First: inferred state checks (aggregated evidence), which subsume
-    // many individual sweep discrepancies at once.
-    std::map<std::string, bool> state_checked;
+    // many individual sweep discrepancies at once. The first qualifying
+    // discrepancy at a site claims every evidence row there; a happy-path
+    // one adds the cloud's failure for each attr's initial member. All of
+    // them land in one spec edit and one plan compile.
+    std::vector<StateCheck> checks;
     for (const auto& d : found) {
       if (d.kind != DivergenceKind::kCloudErrEmuOk) continue;
       if (d.cls.kind != ClassKind::kStateSweep && d.cls.kind != ClassKind::kHappyPath) {
         continue;
       }
-      // Locate evidence rows for this (machine, transition).
-      for (const auto& [key, ev] : evidence) {
-        if (evidence_site[key] != std::make_pair(d.cls.machine, d.cls.transition)) continue;
-        if (state_checked[key]) continue;
-        StateEvidence enriched = ev;
+      auto site = evidence.find({d.cls.machine, d.cls.transition});
+      if (site == evidence.end()) continue;
+      const spec::StateMachine* m = d.cls.kind == ClassKind::kHappyPath
+                                        ? emu_.spec().find_machine(d.cls.machine)
+                                        : nullptr;
+      for (auto& [attr, row] : site->second) {
+        if (row.checked) continue;
+        row.checked = true;
+        StateCheck check{d.cls.machine, d.cls.transition, attr, row.evidence};
         // Happy path exercises the initial member (string or bool typed).
-        if (d.cls.kind == ClassKind::kHappyPath) {
-          const spec::StateMachine* m = emu_.spec().find_machine(d.cls.machine);
-          const spec::StateVar* sv =
-              m != nullptr ? m->find_state(evidence_attr[key]) : nullptr;
-          if (sv != nullptr && sv->initial.is_str()) {
-            enriched.outcome_by_member[std::string(sv->initial.as_str())] = d.cloud.code;
-          } else if (sv != nullptr && sv->initial.is_bool()) {
-            enriched.outcome_by_member[sv->initial.as_bool() ? "true" : "false"] =
-                d.cloud.code;
-          }
+        const spec::StateVar* sv = m != nullptr ? m->find_state(attr) : nullptr;
+        if (sv != nullptr && sv->initial.is_str()) {
+          check.evidence.outcome_by_member[std::string(sv->initial.as_str())] =
+              d.cloud.code;
+        } else if (sv != nullptr && sv->initial.is_bool()) {
+          check.evidence.outcome_by_member[sv->initial.as_bool() ? "true" : "false"] =
+              d.cloud.code;
         }
-        auto action = repairer.repair_state_check(d.cls.machine, d.cls.transition,
-                                                  evidence_attr[key], enriched);
-        state_checked[key] = true;
-        if (action) {
-          report.log.push_back("  repair: " + action->to_text());
-          report.repairs.push_back(std::move(*action));
-          ++repaired;
-        }
+        checks.push_back(std::move(check));
       }
     }
+    for (auto& action : repairer.repair_state_checks(checks)) record(std::move(action));
 
     // Then: per-discrepancy repairs, re-verified against the evolving spec.
     for (auto& d : found) {
@@ -177,14 +191,13 @@ AlignmentReport AlignmentEngine::run() {
       if (opts_.shrink) current = shrink(cloud_, emu_, std::move(current));
       auto action = repairer.repair(current);
       if (action) {
-        report.log.push_back("  repair: " + action->to_text());
-        report.repairs.push_back(std::move(*action));
-        ++repaired;
+        record(std::move(*action));
       } else {
         report.unrepaired.push_back(std::move(current));
       }
     }
     stats.repairs = repaired;
+    stats.repair_wall_ms = ms_since(t0);
     report.rounds.push_back(stats);
     if (repaired == 0) break;  // stuck: avoid spinning
     report.unrepaired.clear(); // retry next round against the new spec

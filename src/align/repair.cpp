@@ -427,46 +427,50 @@ std::optional<RepairAction> Repairer::repair_missing_check(const Discrepancy& d)
   }
 }
 
-std::optional<RepairAction> Repairer::repair_state_check(const std::string& machine,
-                                                         const std::string& transition,
-                                                         const std::string& attr,
-                                                         const StateEvidence& evidence) {
-  // Discriminating evidence: at least one passing and one failing member.
-  std::vector<std::string> passing;
-  std::map<std::string, int> code_votes;
-  for (const auto& [member, outcome] : evidence.outcome_by_member) {
-    if (outcome.empty()) {
-      passing.push_back(member);
-    } else {
-      ++code_votes[outcome];
+std::vector<RepairAction> Repairer::repair_state_checks(
+    const std::vector<StateCheck>& checks) {
+  std::vector<RepairAction> actions;
+  std::optional<spec::SpecSet> spec;  // cloned once, at the first usable check
+  for (const StateCheck& check : checks) {
+    // Discriminating evidence: at least one passing and one failing member.
+    std::vector<std::string> passing;
+    std::map<std::string, int> code_votes;
+    for (const auto& [member, outcome] : check.evidence.outcome_by_member) {
+      if (outcome.empty()) {
+        passing.push_back(member);
+      } else {
+        ++code_votes[outcome];
+      }
     }
-  }
-  if (passing.empty() || code_votes.empty()) return std::nullopt;
-  std::string code = code_votes.begin()->first;
-  for (const auto& [c, n] : code_votes) {
-    if (n > code_votes[code]) code = c;
-  }
+    if (passing.empty() || code_votes.empty()) continue;
+    std::string code = code_votes.begin()->first;
+    for (const auto& [c, n] : code_votes) {
+      if (n > code_votes[code]) code = c;
+    }
 
-  spec::SpecSet spec = emu_.spec().clone();
-  StateMachine* m = spec.find_machine(machine);
-  Transition* t = m != nullptr ? m->find_transition(transition) : nullptr;
-  if (t == nullptr) return std::nullopt;
-  ensure_code_registered(code);
-  // Literal types follow the swept attribute: bool sweeps compare against
-  // true/false values, enum sweeps against member strings.
-  const spec::StateVar* sv = m->find_state(attr);
-  bool is_bool = sv != nullptr && sv->type.kind == spec::TypeKind::kBool;
-  std::vector<spec::ExprPtr> args;
-  args.push_back(spec::make_field(spec::make_self(), attr));
-  for (const auto& v : passing) {
-    args.push_back(spec::make_literal(is_bool ? Value(v == "true") : Value(v)));
+    if (!spec) spec = emu_.spec().clone();
+    StateMachine* m = spec->find_machine(check.machine);
+    Transition* t = m != nullptr ? m->find_transition(check.transition) : nullptr;
+    if (t == nullptr) continue;
+    ensure_code_registered(code);
+    // Literal types follow the swept attribute: bool sweeps compare against
+    // true/false values, enum sweeps against member strings.
+    const spec::StateVar* sv = m->find_state(check.attr);
+    bool is_bool = sv != nullptr && sv->type.kind == spec::TypeKind::kBool;
+    std::vector<spec::ExprPtr> args;
+    args.push_back(spec::make_field(spec::make_self(), check.attr));
+    for (const auto& v : passing) {
+      args.push_back(spec::make_literal(is_bool ? Value(v == "true") : Value(v)));
+    }
+    insert_precondition(
+        *t, assert_stmt(spec::make_builtin("in_list", std::move(args)), code));
+    actions.push_back(RepairAction{
+        RepairAction::Kind::kAddStateCheck, check.machine, check.transition,
+        strf("learned: only valid from ", check.attr, " in {", join(passing, ", "),
+             "}, else '", code, "'")});
   }
-  insert_precondition(*t, assert_stmt(spec::make_builtin("in_list", std::move(args)), code));
-  emu_.replace_spec(std::move(spec));
-  return RepairAction{
-      RepairAction::Kind::kAddStateCheck, machine, transition,
-      strf("learned: only valid from ", attr, " in {", join(passing, ", "), "}, else '",
-           code, "'")};
+  if (!actions.empty()) emu_.replace_spec(std::move(*spec));
+  return actions;
 }
 
 std::optional<RepairAction> Repairer::repair_payload(const Discrepancy& d) {

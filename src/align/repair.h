@@ -55,6 +55,15 @@ struct StateEvidence {
   std::map<std::string, std::string> outcome_by_member;
 };
 
+/// One candidate inferred precondition: `machine`'s state attribute
+/// `attr` may gate `transition`, judged by `evidence`.
+struct StateCheck {
+  std::string machine;
+  std::string transition;
+  std::string attr;
+  StateEvidence evidence;
+};
+
 class Repairer {
  public:
   Repairer(interp::Interpreter& emulator, CloudBackend& cloud);
@@ -63,12 +72,12 @@ class Repairer {
   /// and the action describes the edit.
   std::optional<RepairAction> repair(const Discrepancy& d);
 
-  /// Inferred-state-check repair driven by sweep evidence (engine calls
+  /// Inferred-state-check repairs driven by sweep evidence (engine calls
   /// this for CloudErrEmuOk discrepancies on state sweeps / happy paths).
-  std::optional<RepairAction> repair_state_check(const std::string& machine,
-                                                 const std::string& transition,
-                                                 const std::string& attr,
-                                                 const StateEvidence& evidence);
+  /// Every check with discriminating evidence gets its precondition on one
+  /// spec clone, installed by a single replace_spec; the actions come back
+  /// in check order. Applying them one by one would give the same spec.
+  std::vector<RepairAction> repair_state_checks(const std::vector<StateCheck>& checks);
 
  private:
   /// Replay d's trace on the emulator and return the failure site of the

@@ -1,13 +1,19 @@
 #include "align/trace_gen.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/cidr.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "interp/timers.h"
 
 namespace lce::align {
@@ -211,13 +217,91 @@ std::vector<const spec::Stmt*> collect_asserts(const spec::Body& body) {
   return out;
 }
 
+}  // namespace
+
+// ------------------------------------------------------------- spec index --
+
+/// The lookups a builder repeats thousands of times per corpus, computed
+/// once per generator: machines by name (SpecSet::find_machine is a linear
+/// scan), and the candidate transitions for drive_attr's family 3.
+class SpecIndex {
+ public:
+  using Site = std::pair<const StateMachine*, const Transition*>;
+
+  explicit SpecIndex(const spec::SpecSet& spec) {
+    // emplace keeps the first machine of a name, as find_machine does.
+    for (const auto& m : spec.machines) machines_.emplace(m.name, &m);
+    for (const auto& other : spec.machines) {
+      for (const auto& t : other.transitions) {
+        if (is_internal_transition(t.name)) continue;
+        std::vector<std::string_view> callees;
+        collect_callees(t.body, callees);
+        if (callees.empty()) continue;
+        for (const auto& target : spec.machines) {
+          if (target.name == other.name || machine(target.name) != &target) continue;
+          for (std::string_view callee_name : callees) {
+            const Transition* callee = target.find_transition(callee_name);
+            if (callee == nullptr) continue;
+            for (const auto& cs : callee->body) {
+              if (cs->kind != StmtKind::kWrite) continue;
+              std::vector<Site>& sites = writers_[target.name][cs->var];
+              if (sites.empty() || sites.back().second != &t) {
+                sites.emplace_back(&other, &t);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+
+  const StateMachine* machine(std::string_view name) const {
+    auto it = machines_.find(name);
+    return it == machines_.end() ? nullptr : it->second;
+  }
+
+  /// Non-internal transitions of machines other than `target`, in spec
+  /// order, whose body (if-branches included) calls a transition of
+  /// `target` that writes `attr` — e.g. AssociateAddress for
+  /// (NetworkInterface, public_ip).
+  const std::vector<Site>& backref_writers(std::string_view target,
+                                           std::string_view attr) const {
+    static const std::vector<Site> kNone;
+    auto m = writers_.find(target);
+    if (m == writers_.end()) return kNone;
+    auto a = m->second.find(attr);
+    return a == m->second.end() ? kNone : a->second;
+  }
+
+ private:
+  static void collect_callees(const spec::Body& body,
+                              std::vector<std::string_view>& out) {
+    for (const auto& s : body) {
+      if (s->kind == StmtKind::kCall) out.push_back(s->callee);
+      if (s->kind == StmtKind::kIf) {
+        collect_callees(s->then_body, out);
+        collect_callees(s->else_body, out);
+      }
+    }
+  }
+
+  // Keys view strings owned by the spec, which outlives the index.
+  std::unordered_map<std::string_view, const StateMachine*> machines_;
+  std::unordered_map<std::string_view,
+                     std::unordered_map<std::string_view, std::vector<Site>>>
+      writers_;
+};
+
+namespace {
+
 // ---------------------------------------------------------------- builder --
 
 /// Incrementally assembles one trace: dependency-ordered creates with
 /// planned (predicted) attribute values, driver calls, and the probe.
 class Builder {
  public:
-  explicit Builder(const spec::SpecSet& spec) : spec_(spec) {}
+  Builder(const spec::SpecSet& spec, const SpecIndex& index)
+      : spec_(spec), index_(index) {}
 
   Trace& trace() { return trace_; }
   std::string fail_reason;
@@ -244,7 +328,7 @@ class Builder {
       fail_reason = "create recursion too deep for " + machine;
       return std::nullopt;
     }
-    const StateMachine* m = spec_.find_machine(machine);
+    const StateMachine* m = index_.machine(machine);
     if (m == nullptr) {
       fail_reason = "unknown machine " + machine;
       return std::nullopt;
@@ -301,7 +385,7 @@ class Builder {
     Value current = p->attrs.count(attr) != 0 ? p->attrs.at(attr) : Value();
     if (pred(current)) return true;
     if (depth > 2) return false;
-    const StateMachine* m = spec_.find_machine(machine);
+    const StateMachine* m = index_.machine(machine);
     if (m == nullptr) return false;
 
     // Family 1: a transition on self writing a constant that satisfies
@@ -335,41 +419,36 @@ class Builder {
 
     // Family 3 (ref attrs): another machine's transition that call()s into
     // us and writes `attr` (e.g. AssociateAddress driving nic.public_ip).
-    for (const auto& other : spec_.machines) {
-      if (other.name == machine) continue;
-      for (const auto& t : other.transitions) {
-        if (is_internal_transition(t.name)) continue;
-        if (!transition_backrefs_attr(other, t, machine, attr)) continue;
-        // Create the other instance and call the transition with its ref
-        // param bound to self.
-        Value::Map overrides;
-        // Match attrs the transition requires to equal ours (zone checks).
-        for (const spec::Stmt* a : collect_asserts(t.body)) {
-          AssertInfo info = analyze_assert(*a);
-          if (info.shape == Shape::kRefAttrMatch) {
-            const Planned* self_p = planned(self_idx);
-            if (self_p != nullptr && self_p->attrs.count(info.attr) != 0) {
-              overrides[info.attr] = self_p->attrs.at(info.attr);
-            }
-          }
-        }
-        auto other_idx = create_instance(other.name, overrides, depth + 1);
-        if (!other_idx) continue;
-        // Find the ref param of our type.
-        std::string ref_param;
-        for (const auto& pp : t.params) {
-          if (pp.type.kind == spec::TypeKind::kRef && pp.type.ref_type == machine) {
-            ref_param = pp.name;
-          }
-        }
-        if (ref_param.empty()) continue;
-        Value::Map forced{{ref_param, Value(strf("$", self_idx, ".id"))}};
-        if (call_on(*spec_.find_machine(other.name), t, other_idx, forced)) {
-          // Predict the back-reference write on self.
-          plan_set(self_idx, attr, Value(strf("$", *other_idx, ".id")));
+    for (const auto& [other, t] : index_.backref_writers(machine, attr)) {
+      // Create the other instance and call the transition with its ref
+      // param bound to self.
+      Value::Map overrides;
+      // Match attrs the transition requires to equal ours (zone checks).
+      for (const spec::Stmt* a : collect_asserts(t->body)) {
+        AssertInfo info = analyze_assert(*a);
+        if (info.shape == Shape::kRefAttrMatch) {
           const Planned* self_p = planned(self_idx);
-          if (self_p != nullptr && pred(self_p->attrs.at(attr))) return true;
+          if (self_p != nullptr && self_p->attrs.count(info.attr) != 0) {
+            overrides[info.attr] = self_p->attrs.at(info.attr);
+          }
         }
+      }
+      auto other_idx = create_instance(other->name, overrides, depth + 1);
+      if (!other_idx) continue;
+      // Find the ref param of our type.
+      std::string ref_param;
+      for (const auto& pp : t->params) {
+        if (pp.type.kind == spec::TypeKind::kRef && pp.type.ref_type == machine) {
+          ref_param = pp.name;
+        }
+      }
+      if (ref_param.empty()) continue;
+      Value::Map forced{{ref_param, Value(strf("$", self_idx, ".id"))}};
+      if (call_on(*index_.machine(other->name), *t, other_idx, forced)) {
+        // Predict the back-reference write on self.
+        plan_set(self_idx, attr, Value(strf("$", *other_idx, ".id")));
+        const Planned* self_p = planned(self_idx);
+        if (self_p != nullptr && pred(self_p->attrs.at(attr))) return true;
       }
     }
     return false;
@@ -451,7 +530,7 @@ class Builder {
  private:
   bool create_child_instance(const std::string& child, std::size_t parent_idx) {
     // Create with the parent ref forced to self.
-    const StateMachine* m = spec_.find_machine(child);
+    const StateMachine* m = index_.machine(child);
     if (m == nullptr) return false;
     const Transition* create = nullptr;
     for (const auto& t : m->transitions) {
@@ -660,35 +739,10 @@ class Builder {
     return Value(strf("10.", (n % 200) + 1, ".0.0/", std::clamp(16, lo, hi)));
   }
 
-  bool transition_backrefs_attr(const StateMachine& owner, const Transition& t,
-                                const std::string& target_machine,
-                                const std::string& attr) const {
-    // Does t contain (possibly inside an if) a call whose callee on
-    // `target_machine` writes `attr`?
-    const StateMachine* target = spec_.find_machine(target_machine);
-    if (target == nullptr) return false;
-    (void)owner;
-    std::function<bool(const spec::Body&)> scan = [&](const spec::Body& body) {
-      for (const auto& s : body) {
-        if (s->kind == StmtKind::kCall) {
-          const Transition* callee = target->find_transition(s->callee);
-          if (callee != nullptr) {
-            for (const auto& cs : callee->body) {
-              if (cs->kind == StmtKind::kWrite && cs->var == attr) return true;
-            }
-          }
-        }
-        if (s->kind == StmtKind::kIf && (scan(s->then_body) || scan(s->else_body))) {
-          return true;
-        }
-      }
-      return false;
-    };
-    return scan(t.body);
-  }
 
  private:
   const spec::SpecSet& spec_;
+  const SpecIndex& index_;
   Trace trace_;
   std::map<std::size_t, Planned> planned_;
   int cidr_counter_ = 0;
@@ -698,18 +752,27 @@ class Builder {
 
 // -------------------------------------------------------------- generator --
 
-TraceGenerator::TraceGenerator(const spec::SpecSet& spec) : spec_(spec) {}
+TraceGenerator::TraceGenerator(const spec::SpecSet& spec)
+    : spec_(spec), index_(std::make_unique<const SpecIndex>(spec)) {}
+
+TraceGenerator::~TraceGenerator() = default;
 
 std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
                                                    const std::string& transition) {
+  return generate(machine, transition, stats_);
+}
+
+std::vector<GenTrace> TraceGenerator::generate(const std::string& machine,
+                                               const std::string& transition,
+                                               GenStats& stats) const {
   std::vector<GenTrace> out;
-  const StateMachine* m = spec_.find_machine(machine);
+  const StateMachine* m = index_->machine(machine);
   const Transition* t = m != nullptr ? m->find_transition(transition) : nullptr;
   if (m == nullptr || t == nullptr || is_internal_transition(transition)) return out;
 
   auto skip = [&](const std::string& why) {
-    ++stats_.classes_total;
-    stats_.skipped.push_back(strf(machine, "::", transition, ": ", why));
+    ++stats.classes_total;
+    stats.skipped.push_back(strf(machine, "::", transition, ": ", why));
   };
 
   const Transition* describe = nullptr;
@@ -731,8 +794,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
 
   // ------------------------------------------------------- happy path --
   {
-    ++stats_.classes_total;
-    Builder b(spec_);
+    ++stats.classes_total;
+    Builder b(spec_, *index_);
     std::optional<std::size_t> self_idx;
     bool ok = build_base(b, self_idx);
     std::optional<std::size_t> probe;
@@ -771,7 +834,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       g.trace = std::move(b.trace());
       g.trace.label = strf(machine, "::", transition, "/happy");
       out.push_back(std::move(g));
-      ++stats_.classes_concretized;
+      ++stats.classes_concretized;
     } else {
       skip(b.fail_reason.empty() ? "happy path unsolvable" : b.fail_reason);
     }
@@ -780,9 +843,9 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
   // ----------------------------------------- singular assert violations --
   auto asserts = collect_asserts(t->body);
   for (std::size_t ai = 0; ai < asserts.size(); ++ai) {
-    ++stats_.classes_total;
+    ++stats.classes_total;
     AssertInfo info = analyze_assert(*asserts[ai]);
-    Builder b(spec_);
+    Builder b(spec_, *index_);
     std::optional<std::size_t> self_idx;
     if (!build_base(b, self_idx)) {
       skip("setup unsolvable: " + b.fail_reason);
@@ -875,7 +938,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
         const StateMachine* target_m = nullptr;
         for (const auto& pp : t->params) {
           if (pp.name == info.param && pp.type.kind == spec::TypeKind::kRef) {
-            target_m = spec_.find_machine(pp.type.ref_type);
+            target_m = index_->machine(pp.type.ref_type);
           }
         }
         if (target_m == nullptr) {
@@ -964,7 +1027,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
     g.trace = std::move(b.trace());
     g.trace.label = strf(machine, "::", transition, "/violate-", ai);
     out.push_back(std::move(g));
-    ++stats_.classes_concretized;
+    ++stats.classes_concretized;
   }
 
   // --------------------------------------------------------- state sweep --
@@ -989,8 +1052,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
             std::string(sv.initial.as_bool() ? "true" : "false") == member) {
           continue;
         }
-        ++stats_.classes_total;
-        Builder b(spec_);
+        ++stats.classes_total;
+        Builder b(spec_, *index_);
         std::optional<std::size_t> self_idx;
         if (!build_base(b, self_idx) || !self_idx) {
           skip("sweep setup unsolvable");
@@ -1022,7 +1085,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
         g.trace = std::move(b.trace());
         g.trace.label = strf(machine, "::", transition, "/sweep-", sv.name, "-", member);
         out.push_back(std::move(g));
-        ++stats_.classes_concretized;
+        ++stats.classes_concretized;
       }
     }
   }
@@ -1034,8 +1097,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       t->kind == TransitionKind::kDestroy) {
     for (const auto& sv : m->states) {
       if (sv.type.kind != spec::TypeKind::kRef) continue;
-      ++stats_.classes_total;
-      Builder b(spec_);
+      ++stats.classes_total;
+      Builder b(spec_, *index_);
       std::optional<std::size_t> self_idx;
       if (!build_base(b, self_idx) || !self_idx) {
         skip("ref sweep setup unsolvable");
@@ -1062,7 +1125,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       g.trace = std::move(b.trace());
       g.trace.label = strf(machine, "::", transition, "/refsweep-", sv.name);
       out.push_back(std::move(g));
-      ++stats_.classes_concretized;
+      ++stats.classes_concretized;
     }
   }
 
@@ -1074,8 +1137,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       if (p.type.kind != spec::TypeKind::kBool) continue;
       for (const auto& sv : m->states) {
         if (sv.type.kind != spec::TypeKind::kBool) continue;
-        ++stats_.classes_total;
-        Builder b(spec_);
+        ++stats.classes_total;
+        Builder b(spec_, *index_);
         std::optional<std::size_t> self_idx;
         if (!build_base(b, self_idx) || !self_idx) {
           skip("bool coupling setup unsolvable");
@@ -1105,7 +1168,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
         g.trace.label =
             strf(machine, "::", transition, "/coupling-", p.name, "-", sv.name);
         out.push_back(std::move(g));
-        ++stats_.classes_concretized;
+        ++stats.classes_concretized;
       }
     }
   }
@@ -1117,8 +1180,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
   for (const spec::Stmt* a : asserts) {
     AssertInfo info = analyze_assert(*a);
     if (info.shape != Shape::kPrefixRange && info.shape != Shape::kIntRange) continue;
-    ++stats_.classes_total;
-    Builder b(spec_);
+    ++stats.classes_total;
+    Builder b(spec_, *index_);
     std::optional<std::size_t> self_idx;
     if (!build_base(b, self_idx)) {
       skip("boundary setup unsolvable");
@@ -1159,7 +1222,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
     g.trace = std::move(b.trace());
     g.trace.label = strf(machine, "::", transition, "/boundary-", info.param);
     out.push_back(std::move(g));
-    ++stats_.classes_concretized;
+    ++stats.classes_concretized;
   }
 
   // -------------------------------------------------------- member probes --
@@ -1170,8 +1233,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
     AssertInfo info = analyze_assert(*a);
     if (info.shape != Shape::kInList || info.values.size() < 2) continue;
     for (std::size_t mi = 1; mi < info.values.size(); ++mi) {  // [0] = happy path
-      ++stats_.classes_total;
-      Builder b(spec_);
+      ++stats.classes_total;
+      Builder b(spec_, *index_);
       std::optional<std::size_t> self_idx;
       if (!build_base(b, self_idx)) {
         skip("member probe setup unsolvable");
@@ -1196,7 +1259,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       g.trace.label =
           strf(machine, "::", transition, "/member-", info.param, "-", mi);
       out.push_back(std::move(g));
-      ++stats_.classes_concretized;
+      ++stats.classes_concretized;
     }
   }
 
@@ -1229,8 +1292,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       // Fire: arm by reaching the trigger value, advance exactly `delay`
       // ticks, observe the fired transition's writes via describe.
       {
-        ++stats_.classes_total;
-        Builder b(spec_);
+        ++stats.classes_total;
+        Builder b(spec_, *index_);
         auto self_idx = arm_self(b);
         if (!self_idx) {
           skip("timer-fire setup unsolvable: " + b.fail_reason);
@@ -1253,7 +1316,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
           g.trace = std::move(b.trace());
           g.trace.label = strf(machine, "::", transition, "/timer-fire-", ti);
           out.push_back(std::move(g));
-          ++stats_.classes_concretized;
+          ++stats.classes_concretized;
         }
       }
       // Interleave: advance to one tick short of the deadline, move the
@@ -1262,8 +1325,8 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
       // happen. Diverges against an implementation that fires anyway, or
       // that orders the cancel after the fire.
       {
-        ++stats_.classes_total;
-        Builder b(spec_);
+        ++stats.classes_total;
+        Builder b(spec_, *index_);
         auto self_idx = arm_self(b);
         // Burn all but the last tick first, so the cancelling driver call
         // drive_attr appends lands mid-countdown (one tick before the
@@ -1297,7 +1360,7 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
           g.trace.label =
               strf(machine, "::", transition, "/timer-interleave-", ti);
           out.push_back(std::move(g));
-          ++stats_.classes_concretized;
+          ++stats.classes_concretized;
         }
       }
     }
@@ -1305,14 +1368,60 @@ std::vector<GenTrace> TraceGenerator::generate_for(const std::string& machine,
   return out;
 }
 
-std::vector<GenTrace> TraceGenerator::generate_all() {
-  std::vector<GenTrace> out;
+std::vector<GenTrace> TraceGenerator::generate_all(int workers) {
+  // One slot per transition in spec order. Transitions are generated
+  // independently (every trace gets a fresh Builder over the shared,
+  // read-only index), so slots may fill in any order on any thread;
+  // joining them in spec order reproduces the serial corpus exactly.
+  struct Slot {
+    const spec::StateMachine* machine;
+    const spec::Transition* transition;
+    std::vector<GenTrace> traces;
+    GenStats stats;
+    std::exception_ptr error;  // rethrown after the join, in spec order
+  };
+  std::vector<Slot> slots;
   for (const auto& m : spec_.machines) {
-    for (const auto& t : m.transitions) {
-      auto batch = generate_for(m.name, t.name);
-      out.insert(out.end(), std::make_move_iterator(batch.begin()),
-                 std::make_move_iterator(batch.end()));
+    for (const auto& t : m.transitions) slots.push_back({&m, &t, {}, {}, nullptr});
+  }
+  auto run = [&](Slot& slot) {
+    try {
+      slot.traces = generate(slot.machine->name, slot.transition->name, slot.stats);
+    } catch (...) {
+      slot.error = std::current_exception();
     }
+  };
+
+  int w = workers > 0 ? workers : ThreadPool::hardware_workers();
+  w = std::clamp<int>(w, 1, static_cast<int>(std::max<std::size_t>(slots.size(), 1)));
+  if (w == 1) {
+    for (Slot& slot : slots) run(slot);
+  } else {
+    // Transitions differ widely in cost, so workers claim slots from a
+    // shared counter rather than a fixed stride.
+    std::atomic<std::size_t> next{0};
+    ThreadPool pool(w);
+    for (int k = 0; k < w; ++k) {
+      pool.submit([&] {
+        for (std::size_t i = next++; i < slots.size(); i = next++) run(slots[i]);
+      });
+    }
+    pool.wait();
+  }
+
+  std::size_t total = 0;
+  for (const Slot& slot : slots) {
+    if (slot.error) std::rethrow_exception(slot.error);
+    total += slot.traces.size();
+  }
+  std::vector<GenTrace> out;
+  out.reserve(total);
+  for (Slot& slot : slots) {
+    std::move(slot.traces.begin(), slot.traces.end(), std::back_inserter(out));
+    stats_.classes_total += slot.stats.classes_total;
+    stats_.classes_concretized += slot.stats.classes_concretized;
+    std::move(slot.stats.skipped.begin(), slot.stats.skipped.end(),
+              std::back_inserter(stats_.skipped));
   }
   return out;
 }

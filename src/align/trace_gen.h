@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -74,21 +75,35 @@ struct GenStats {
   std::vector<std::string> skipped;  // unconcretizable classes, with reason
 };
 
+class SpecIndex;
+
 class TraceGenerator {
  public:
+  /// Indexes `spec` once (machines by name, and which transitions call
+  /// into a machine to write an attribute). The index is read-only after
+  /// construction, so generation workers share it without locks. `spec`
+  /// must outlive the generator and stay unmodified while it exists.
   explicit TraceGenerator(const spec::SpecSet& spec);
+  ~TraceGenerator();
 
   /// Traces for one transition.
   std::vector<GenTrace> generate_for(const std::string& machine,
                                      const std::string& transition);
 
-  /// Traces for every transition in the spec.
-  std::vector<GenTrace> generate_all();
+  /// Traces for every transition in the spec, in spec order. workers:
+  /// 0 = auto (hardware concurrency), 1 = serial, N = N threads, each
+  /// transition generated independently; the traces and the merged stats
+  /// are identical for every value.
+  std::vector<GenTrace> generate_all(int workers = 1);
 
   const GenStats& stats() const { return stats_; }
 
  private:
+  std::vector<GenTrace> generate(const std::string& machine,
+                                 const std::string& transition, GenStats& stats) const;
+
   const spec::SpecSet& spec_;
+  std::unique_ptr<const SpecIndex> index_;
   GenStats stats_;
 };
 

@@ -202,16 +202,25 @@ TEST(ParallelAlignment, RoundStatsRecordThroughputCounters) {
   AlignmentReport r = align_with_workers(corpus, 2, /*repair=*/false);
   ASSERT_FALSE(r.rounds.empty());
   EXPECT_EQ(r.rounds[0].workers, 2);
+  EXPECT_GT(r.rounds[0].gen_wall_ms, 0.0);
   EXPECT_GT(r.rounds[0].diff_wall_ms, 0.0);
+  EXPECT_EQ(r.rounds[0].repair_wall_ms, 0.0);  // detection only: no repair ran
   EXPECT_GT(r.rounds[0].traces_per_sec, 0.0);
+  AlignmentReport repaired = align_with_workers(corpus, 2);
+  ASSERT_GT(repaired.rounds[0].repairs, 0u);
+  EXPECT_GT(repaired.rounds[0].repair_wall_ms, 0.0);
   // Timings must never leak into the determinism contract: perturbing the
   // performance counters must not change the canonical serialization.
-  AlignmentReport perturbed = r;
-  perturbed.rounds[0].diff_wall_ms = 12345.0;
-  perturbed.rounds[0].traces_per_sec = 1.0;
-  perturbed.rounds[0].workers = 99;
-  perturbed.rounds[0].metrics = Value(Value::Map{{"cloud", Value("perturbed")}});
-  EXPECT_EQ(canonical_text(perturbed), canonical_text(r));
+  for (AlignmentReport* report : {&r, &repaired}) {
+    AlignmentReport perturbed = *report;
+    perturbed.rounds[0].gen_wall_ms = 54321.0;
+    perturbed.rounds[0].diff_wall_ms = 12345.0;
+    perturbed.rounds[0].repair_wall_ms = 999.0;
+    perturbed.rounds[0].traces_per_sec = 1.0;
+    perturbed.rounds[0].workers = 99;
+    perturbed.rounds[0].metrics = Value(Value::Map{{"cloud", Value("perturbed")}});
+    EXPECT_EQ(canonical_text(perturbed), canonical_text(*report));
+  }
 }
 
 // --- lce::stack interop ----------------------------------------------------
@@ -288,6 +297,17 @@ TEST(ParallelStackAlignment, MetricsCollectionIsDeterministicAndInvisible) {
   ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
   ASSERT_FALSE(serial.rounds.empty());
   for (std::size_t i = 0; i < serial.rounds.size(); ++i) {
+    // Each trace is replayed once per backend: the probe outcome comes
+    // from the same cloud run the diff used.
+    for (const AlignmentReport* r : {&serial, &parallel}) {
+      const RoundStats& round = r->rounds[i];
+      EXPECT_EQ(round.metrics.get("cloud")->get("total")->get("calls")->as_int(),
+                round.metrics.get("emulator")->get("total")->get("calls")->as_int())
+          << "round " << i;
+      EXPECT_EQ(round.metrics.get("cloud")->get("total")->get("calls")->as_int(),
+                static_cast<std::int64_t>(round.api_calls))
+          << "round " << i;
+    }
     for (const char* side : {"cloud", "emulator"}) {
       const Value* a = serial.rounds[i].metrics.get(side);
       const Value* b = parallel.rounds[i].metrics.get(side);

@@ -5,9 +5,11 @@
 #include <set>
 
 #include "cloud/reference_cloud.h"
+#include "common/strings.h"
 #include "docs/corpus.h"
 #include "docs/render.h"
 #include "interp/interpreter.h"
+#include "spec/parser.h"
 #include "synth/synthesizer.h"
 
 namespace lce::align {
@@ -173,6 +175,147 @@ TEST(TraceGen, GenerateAllCoversTheSpec) {
     if (reason.find("unreachable") == std::string::npos) ++non_sweep_skips;
   }
   EXPECT_LT(non_sweep_skips, 60u) << stats.skipped.front();
+}
+
+// Two machines can drive Nic.public_ip through the internal back-reference
+// transition (PublicIp's call sits inside an if, as in the AWS spec). The
+// generator must pick the first caller in spec order, which is neither
+// the alphabetical first nor the last declared.
+constexpr const char* kTwoBackrefCallers = R"SPEC(
+sm Nic {
+  service "ec2";
+  id_prefix "eni";
+  states {
+    public_ip: ref PublicIp;
+  }
+  transitions {
+    create CreateNic() {
+    }
+    destroy DeleteNic() {
+      assert(is_null(self.public_ip)) else DependencyViolation;
+    }
+    modify AttachAddressBackRef(peer: ref PublicIp) {
+      write(public_ip, peer);
+    }
+  }
+}
+sm PublicIp {
+  service "ec2";
+  id_prefix "eip";
+  states {
+    nic: ref Nic;
+  }
+  transitions {
+    create AllocatePublicIp() {
+    }
+    modify AssociatePublicIp(nic: ref Nic) {
+      write(nic, nic);
+      if (!is_null(nic)) {
+        call(nic, AttachAddressBackRef, self);
+      }
+    }
+  }
+}
+sm Ipv6Prefix {
+  service "ec2";
+  id_prefix "ipv6";
+  states {
+    nic: ref Nic;
+  }
+  transitions {
+    create AllocateIpv6Prefix() {
+    }
+    modify AssignIpv6Prefix(nic: ref Nic) {
+      call(nic, AttachAddressBackRef, self);
+    }
+  }
+}
+)SPEC";
+
+TEST(TraceGen, BackrefDriverIsFirstCallerInSpecOrder) {
+  spec::ParseError err;
+  auto spec = spec::parse_spec(kTwoBackrefCallers, &err);
+  ASSERT_TRUE(spec.has_value()) << err.to_text();
+  TraceGenerator gen(*spec);
+  std::size_t checked = 0;
+  for (const auto& g : gen.generate_for("Nic", "DeleteNic")) {
+    if (g.cls.kind != ClassKind::kAssertViolation &&
+        g.cls.kind != ClassKind::kRefAttrSweep) {
+      continue;
+    }
+    std::vector<std::string> apis;
+    for (const auto& c : g.trace.calls) apis.push_back(c.api);
+    EXPECT_EQ(apis, (std::vector<std::string>{"CreateNic", "AllocatePublicIp",
+                                              "AssociatePublicIp", "DeleteNic"}))
+        << g.trace.label;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2u);
+}
+
+// --- parallel generation ----------------------------------------------------
+// generate_all(w) builds each transition's traces on whichever worker
+// claims it and joins them in spec order: the corpus and the merged stats
+// must not depend on w.
+
+/// Everything a generated corpus carries, in order, plus the stats.
+std::string corpus_text(const std::vector<GenTrace>& traces, const GenStats& stats) {
+  std::string out;
+  for (const auto& g : traces) {
+    out += strf(g.trace.label, " ", to_string(g.cls.kind), " ", g.cls.machine, "::",
+                g.cls.transition, " assert=", g.cls.assert_index,
+                " expect=", g.cls.expected_code, " [", g.cls.description, "]",
+                " sweep=", g.cls.sweep_attr, "=", g.cls.sweep_value, "/",
+                g.cls.sweep_param, " bound=", g.cls.bound_param, "@", g.cls.bound_value,
+                " member=", g.cls.member_param, "=", g.cls.member_value,
+                " probe=", g.probe_call, "\n");
+    for (const auto& c : g.trace.calls) out += "  " + c.to_text() + "\n";
+  }
+  out += strf("classes ", stats.classes_total, " concretized ",
+              stats.classes_concretized, "\n");
+  for (const auto& why : stats.skipped) out += "skipped " + why + "\n";
+  return out;
+}
+
+void expect_identical_at_every_worker_count(const spec::SpecSet& spec) {
+  TraceGenerator serial(spec);
+  std::string want = corpus_text(serial.generate_all(1), serial.stats());
+  ASSERT_GT(serial.stats().classes_concretized, 100u);
+  for (int workers : {2, 4, 0}) {
+    SCOPED_TRACE(workers);
+    TraceGenerator gen(spec);
+    EXPECT_EQ(corpus_text(gen.generate_all(workers), gen.stats()), want);
+  }
+}
+
+TEST(ParallelTraceGen, CorpusAndStatsIdenticalOnAwsSpec) {
+  expect_identical_at_every_worker_count(aws_spec());
+}
+
+TEST(ParallelTraceGen, CorpusAndStatsIdenticalOnNoisySpecs) {
+  // LLM-style noise drops, renames and corrupts spec elements, which
+  // changes what the builders can solve and which classes get skipped.
+  auto corpus = docs::render_corpus(docs::build_aws_catalog());
+  for (std::uint64_t seed : {3u, 11u, 77u}) {
+    SCOPED_TRACE(seed);
+    synth::SynthesisOptions opts;
+    opts.noise_rate = 0.25;
+    opts.seed = seed;
+    auto result = synth::synthesize(corpus, opts);
+    ASSERT_FALSE(result.noise.empty());
+    expect_identical_at_every_worker_count(result.spec);
+  }
+}
+
+TEST(ParallelTraceGen, StatsAccumulateAcrossCallsAsSerially) {
+  // stats() sums every generate_for/generate_all call on one generator.
+  TraceGenerator serial(aws_spec());
+  serial.generate_for("Instance", "StartInstance");
+  serial.generate_all(1);
+  TraceGenerator parallel(aws_spec());
+  parallel.generate_for("Instance", "StartInstance");
+  parallel.generate_all(4);
+  EXPECT_EQ(corpus_text({}, parallel.stats()), corpus_text({}, serial.stats()));
 }
 
 }  // namespace

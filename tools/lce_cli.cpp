@@ -8,7 +8,8 @@
 //   lce align [provider] [--workers N] [--rounds N] [--metrics]
 //                                    run the §4.3 alignment loop, print
 //                                    the repair report; --workers shards
-//                                    the differential pass over N threads
+//                                    generation and the differential pass
+//                                    over N threads
 //                                    (0 = auto, 1 = serial; the report is
 //                                    identical for every worker count);
 //                                    --metrics prints per-API call counts
@@ -50,7 +51,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "align/engine.h"
@@ -67,6 +70,7 @@
 #include "stack/config.h"
 #include "baselines/moto_like.h"
 #include "cloud/reference_cloud.h"
+#include "common/strings.h"
 #include "core/emulator.h"
 #include "core/trace_script.h"
 #include "docs/corpus.h"
@@ -81,6 +85,18 @@ namespace {
 
 docs::CloudCatalog catalog_for(const std::string& provider) {
   return provider == "azure" ? docs::build_azure_catalog() : docs::build_aws_catalog();
+}
+
+/// A whole number >= `min` (and within int); false for anything else, so
+/// a typo is refused rather than read as 0.
+bool parse_count(std::string_view text, int min, int& out) {
+  std::int64_t v = 0;
+  if (text.size() > 10 || !parse_int(text, v) || v < min ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  out = static_cast<int>(v);
+  return true;
 }
 
 int usage() {
@@ -99,10 +115,11 @@ int usage() {
                "  lce diff <script-file> [aws|azure]\n"
                "  lce align [aws|azure] [--workers N] [--rounds N] [--metrics]\n"
                "            [--no-plan]\n"
-               "      --workers N  differential-pass threads (0 = auto-detect\n"
-               "                   hardware concurrency, 1 = serial; any value\n"
-               "                   yields the identical alignment report)\n"
-               "      --rounds N   max alignment rounds (default 6)\n"
+               "      --workers N  trace-generation and differential-pass\n"
+               "                   threads (0 = auto-detect hardware concurrency,\n"
+               "                   1 = serial; any value yields the identical\n"
+               "                   alignment report)\n"
+               "      --rounds N   max alignment rounds, >= 1 (default 6)\n"
                "      --metrics    print per-API call counts per round\n"
                "  lce serve [aws|azure] [port] [options]\n"
                "      --metrics / --no-metrics   install the metrics layer and\n"
@@ -284,9 +301,9 @@ int main(int argc, char** argv) {
       if (arg == "aws" || arg == "azure") {
         provider = arg;
       } else if (arg == "--workers" && i + 1 < argc) {
-        aopts.workers = std::atoi(argv[++i]);
+        if (!parse_count(argv[++i], 0, aopts.workers)) return usage();
       } else if (arg == "--rounds" && i + 1 < argc) {
-        aopts.max_rounds = std::atoi(argv[++i]);
+        if (!parse_count(argv[++i], 1, aopts.max_rounds)) return usage();
       } else if (arg == "--metrics") {
         aopts.collect_metrics = true;
       } else if (arg == "--no-plan") {
@@ -306,7 +323,9 @@ int main(int argc, char** argv) {
     for (const auto& r : report.repairs) std::cout << "  " << r.to_text() << "\n";
     for (std::size_t i = 0; i < report.rounds.size(); ++i) {
       const auto& r = report.rounds[i];
-      std::cout << "round " << i + 1 << " timing: " << r.diff_wall_ms << " ms, "
+      std::cout << "round " << i + 1 << " timing: generation " << fixed(r.gen_wall_ms, 1)
+                << " ms, diff " << fixed(r.diff_wall_ms, 1) << " ms, repair "
+                << fixed(r.repair_wall_ms, 1) << " ms, "
                 << static_cast<long>(r.traces_per_sec) << " traces/s, "
                 << r.workers << " worker(s)\n";
       if (aopts.collect_metrics && r.metrics.is_map()) {
