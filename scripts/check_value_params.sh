@@ -13,9 +13,9 @@
 # appears, with the offending path:line listed.
 #
 # Hot directories are discovered, not enumerated: every src/<dir> is on
-# the hook unless listed in COLD_DIRS below, so a new subsystem (e.g.
-# src/persist's replicas, src/stack's router) is covered the day it
-# lands instead of the day someone remembers to edit this script.
+# the hook unless listed in COLD_DIRS below, so a new subsystem on the
+# request path is covered the day it lands instead of the day someone
+# remembers to edit this script.
 #
 # CI runs this next to check_format as a blocking style gate: unlike
 # formatting, a stray by-value Value is a real perf defect.

@@ -20,17 +20,13 @@
 #                        torture/fuzz, wire-level HttpTorture, slow-loris
 #                        reaping, keep-alive accounting, and the
 #                        ShutdownHammer restart cycles — "Hammer"), and
-#                        the replication suites ("Replica": WAL feed
-#                        ring, applier/reader races, reseed-after-gap,
-#                        promotion byte-identity; "Route": bounded-
-#                        staleness read routing under parallel readers),
-#                        and the virtual-time suites (the timer-wheel
+#                        the virtual-time suites (the timer-wheel
 #                        differential fuzz and the TimerHammer
 #                        ensure/cancel/advance races in time_test).
 #                        The fork-based CrashTorture tests self-skip
 #                        under TSan.
 export LCE_TSAN_TEST_TARGETS="common_test value_fuzz_test align_test interp_test cloud_test stack_test server_test persist_test plan_test time_test"
-export LCE_TSAN_TEST_REGEX='Parallel|Fuzz|Clone|Stack|Hammer|Fault|Layer|Shard|Wal|Journal|Snapshot|Recovery|Replay|Durable|Plan|HttpParser|Torture|SlowLoris|KeepAlive|Endpoint|Replica|Route|Wire'
+export LCE_TSAN_TEST_REGEX='Parallel|Fuzz|Clone|Stack|Hammer|Fault|Layer|Shard|Wal|Journal|Snapshot|Recovery|Replay|Durable|Plan|HttpParser|Torture|SlowLoris|KeepAlive|Endpoint|Wire'
 
 # Portable core count: GNU coreutils' nproc, then the BSD/macOS sysctl,
 # then POSIX getconf, then a safe fallback.

@@ -66,8 +66,6 @@ LoadStats run_load(CloudBackend& backend, const LoadOptions& opts) {
     if (r.ok && r.data.get("id") != nullptr) seeded_ids.push_back(*r.data.get("id"));
   }
 
-  if (opts.after_prepopulate) opts.after_prepopulate();
-
   int workers = std::max(1, opts.concurrency);
   std::vector<WorkerResult> results(static_cast<std::size_t>(workers));
   // Creates draw globally unique CIDR indices; ops are claimed from one
@@ -106,18 +104,8 @@ LoadStats run_load(CloudBackend& backend, const LoadOptions& opts) {
     };
     auto make_req = [&](std::size_t k) -> ApiRequest {
       int roll = static_cast<int>(rng.uniform(100));
-      const bool wants_describe =
-          roll >= opts.mix.create_pct + opts.mix.mutate_pct;
       const Value* target = nullptr;
-      if (roll >= opts.mix.create_pct) {
-        if (wants_describe && opts.describe_targets_seeded) {
-          target = seeded_ids.empty()
-                       ? nullptr
-                       : &seeded_ids[rng.uniform(seeded_ids.size())];
-        } else {
-          target = pick_target();
-        }
-      }
+      if (roll >= opts.mix.create_pct) target = pick_target();
       if (roll < opts.mix.create_pct || target == nullptr) {
         std::uint64_t n = cidr_counter.fetch_add(1, std::memory_order_relaxed);
         return {"CreateVpc", {{"cidr_block", Value(cidr_for(n))}}, ""};

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,17 +60,6 @@ struct LoadOptions {
   /// pipeline queueing is charged to the server. Ignored in open-loop and
   /// Connection: close modes.
   int http_pipeline = 1;
-  /// Describes target only the prepopulated resources (mutates and their
-  /// targets are unrestricted). Needed when reads are served under a
-  /// bounded-staleness contract (the replica sweep): a replica within the
-  /// staleness bound is guaranteed to hold every PREPOPULATED resource,
-  /// but may not yet hold one created mid-run by a racing worker — which
-  /// would turn an expected-ok describe into a spurious error.
-  bool describe_targets_seeded = false;
-  /// Called once after prepopulation, before the measured clock starts
-  /// (e.g. to let replica appliers drain the prepopulation records so the
-  /// measured phase starts from caught-up replicas).
-  std::function<void()> after_prepopulate;
 };
 
 struct LoadStats {

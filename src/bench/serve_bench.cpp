@@ -23,11 +23,9 @@
 #include "docs/render.h"
 #include "interp/interpreter.h"
 #include "persist/journal.h"
-#include "persist/replica.h"
 #include "server/json.h"
 #include "server/service.h"
 #include "stack/config.h"
-#include "stack/route.h"
 
 namespace lce::bench {
 
@@ -246,12 +244,6 @@ bool parse_serve_bench_args(int argc, char** argv, ServeBenchOptions& out) {
       out.min_http_speedup = std::atof(argv[++i]);
     } else if (arg == "--max-serve-allocs" && i + 1 < argc) {
       out.max_serve_allocs = std::atof(argv[++i]);
-    } else if (arg == "--no-replica-sweep") {
-      out.replica_sweep = false;
-    } else if (arg == "--replica-lag-max" && i + 1 < argc) {
-      out.replica_lag_max = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--min-replica-speedup" && i + 1 < argc) {
-      out.min_replica_speedup = std::atof(argv[++i]);
     } else {
       std::cerr << "unknown bench flag: " << arg << "\n"
                 << "flags: --quick --json FILE --no-json --ops N "
@@ -259,9 +251,7 @@ bool parse_serve_bench_args(int argc, char** argv, ServeBenchOptions& out) {
                    "--no-enforce --data-dir DIR --wal-sync none|batch "
                    "--max-wal-overhead X --no-http --io-threads N "
                    "--min-keepalive-speedup X --http-pipeline N "
-                   "--min-http-speedup X --max-serve-allocs N "
-                   "--no-replica-sweep --replica-lag-max K "
-                   "--min-replica-speedup X\n";
+                   "--min-http-speedup X --max-serve-allocs N\n";
       return false;
     }
   }
@@ -539,88 +529,6 @@ int run_serve_bench(const ServeBenchOptions& opts) {
     endpoint.stop();
   }
 
-  // Replica sweep: the durable stack again, but with N WAL-shipped
-  // replicas absorbing a describe-heavy mix (5% create / 15% mutate /
-  // 80% describe) through the RouteLayer. Each count gets a fresh data
-  // dir + manager (one feed per manager) and starts measuring only after
-  // the replicas drained the prepopulation records, so a staleness
-  // fallback during the run means real lag, not a cold start.
-  std::vector<SweepPoint> replica_points;
-  double replica_speedup = 0;
-  if (opts.replica_sweep) {
-    const std::vector<std::size_t> counts =
-        opts.quick ? std::vector<std::size_t>{0, 2}
-                   : std::vector<std::size_t>{0, 2, 4};
-    const int rc = sweep.back();
-    double baseline_tput = 0, best_replicated = 0;
-    std::cout << "\nreplica sweep (journal + route, 5/15/80 mix, lag max "
-              << opts.replica_lag_max << ", concurrency " << rc << "):\n";
-    for (std::size_t nrep : counts) {
-      const std::string rdir = strf(data_dir, "_replica", nrep);
-      std::filesystem::remove_all(rdir, ec);
-      persist::PersistOptions rpopts = popts;
-      rpopts.data_dir = rdir;
-      std::string rerr;
-      auto rmgr =
-          persist::PersistManager::open(emulator.backend(), rpopts, &rerr);
-      if (rmgr == nullptr) {
-        std::cerr << "cannot open replica-sweep data dir " << rdir << ": "
-                  << rerr << "\n";
-        return 1;
-      }
-      std::unique_ptr<persist::ReplicaSet> rset;
-      stack::StackConfig rcfg = bench_config(stack::SerializeMode::kOff);
-      rcfg.journal = [&rmgr] {
-        return std::make_unique<persist::JournalLayer>(rmgr.get());
-      };
-      if (nrep > 0) {
-        rset = persist::ReplicaSet::create(*rmgr, nrep, {}, &rerr);
-        if (rset == nullptr) {
-          std::cerr << "cannot start " << nrep << " replica(s): " << rerr << "\n";
-          return 1;
-        }
-        rcfg.route = [&rset, &opts, interp = &emulator.backend()] {
-          stack::RouteOptions ro;
-          ro.lag_max = opts.replica_lag_max;
-          ro.read_only = [interp](const std::string& api) {
-            return interp->read_only_api(api);
-          };
-          return std::make_unique<stack::RouteLayer>(rset.get(), std::move(ro));
-        };
-      }
-      stack::LayerStack rstack = stack::build_stack(emulator.backend(), rcfg);
-      LoadOptions lo = base;
-      lo.concurrency = rc;
-      lo.mix = {5, 15};
-      lo.describe_targets_seeded = true;
-      if (rset != nullptr) {
-        lo.after_prepopulate = [&rset] { rset->drain(); };
-      }
-      SweepPoint p;
-      p.config = strf("replica", nrep);
-      p.concurrency = rc;
-      p.stats = run_load(rstack, lo);
-      std::uint64_t replica_reads = 0;
-      if (auto* route = rstack.find<stack::RouteLayer>()) {
-        replica_reads = route->stats().replica_reads;
-      }
-      std::cout << "  " << p.config << ": "
-                << static_cast<long>(p.stats.throughput_ops_s) << " ops/s, p99 "
-                << static_cast<long>(p.stats.p99_us) << " us, "
-                << replica_reads << " replica read(s), errors "
-                << p.stats.errors << "\n";
-      if (nrep == 0) {
-        baseline_tput = p.stats.throughput_ops_s;
-      } else if (p.stats.throughput_ops_s > best_replicated) {
-        best_replicated = p.stats.throughput_ops_s;
-      }
-      replica_points.push_back(std::move(p));
-      // The stack and replica set die here, before their manager; the
-      // scratch dir stays for post-mortems until the next run re-creates it.
-    }
-    replica_speedup = baseline_tput > 0 ? best_replicated / baseline_tput : 0;
-  }
-
   bool gate_applicable = opts.enforce && gate_conc >= 4 && hw >= 2;
   bool speedup_pass = !gate_applicable || gate_speedup >= opts.min_speedup;
   bool wal_pass = !gate_applicable || gate_wal_overhead == 0 ||
@@ -644,22 +552,7 @@ int run_serve_bench(const ServeBenchOptions& opts) {
                           opts.alloc_counter != nullptr && opts.max_serve_allocs > 0;
   bool alloc_pass =
       !alloc_applicable || (serve_allocs >= 0 && serve_allocs <= opts.max_serve_allocs);
-  // Replica reads only beat the baseline when they can run in parallel
-  // with primary writes — meaningless on one core or instrumented builds.
-  bool replica_applicable =
-      opts.enforce && opts.replica_sweep && !kSanitized && hw >= 2;
-  bool replica_pass =
-      !replica_applicable || replica_speedup >= opts.min_replica_speedup;
-  bool pass = speedup_pass && wal_pass && ka_pass && fastpath_pass && alloc_pass &&
-              replica_pass;
-  if (replica_applicable) {
-    std::cout << "\nbest replicated >= " << fmt_speedup(opts.min_replica_speedup)
-              << " of replica0: " << (replica_pass ? "PASS" : "FAIL") << " ("
-              << fmt_speedup(replica_speedup) << ")\n";
-  } else if (opts.enforce && opts.replica_sweep) {
-    std::cout << "\nreplica gate skipped ("
-              << (kSanitized ? "sanitizer build" : "single-core machine") << ")\n";
-  }
+  bool pass = speedup_pass && wal_pass && ka_pass && fastpath_pass && alloc_pass;
   if (ka_applicable) {
     std::cout << "\nkeep-alive >= " << fmt_speedup(opts.min_keepalive_speedup)
               << " close-per-request: " << (ka_pass ? "PASS" : "FAIL") << " ("
@@ -720,12 +613,6 @@ int run_serve_bench(const ServeBenchOptions& opts) {
           point_value(p, p.config == "http_keepalive_open" ? http_rate : 0));
     }
     root["http_front_end"] = Value(std::move(http_rows));
-    Value::List replica_rows;
-    for (const auto& p : replica_points) replica_rows.push_back(point_value(p, 0));
-    root["replica_sweep"] = Value(std::move(replica_rows));
-    root["replica_speedup"] = Value(fmt_speedup(replica_speedup));
-    root["replica_lag_max"] =
-        Value(static_cast<std::int64_t>(opts.replica_lag_max));
     root["keepalive_speedup"] = Value(fmt_speedup(ka_speedup));
     root["http_speedup"] = Value(fmt_speedup(http_speedup));
     root["http_pipeline"] = Value(static_cast<std::int64_t>(opts.http_pipeline));
@@ -765,10 +652,6 @@ int run_serve_bench(const ServeBenchOptions& opts) {
       gate_skips["serve_alloc"] =
           Value(std::string(kSanitized ? "sanitizer build"
                                        : "no allocation hook in this binary"));
-    }
-    if (opts.enforce && opts.replica_sweep && !replica_applicable) {
-      gate_skips["replica"] = Value(
-          std::string(kSanitized ? "sanitizer build" : "single-core machine"));
     }
     if (!gate_skips.empty()) {
       root["gate_skips"] = Value(std::move(gate_skips));

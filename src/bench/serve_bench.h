@@ -79,27 +79,14 @@ struct ServeBenchOptions {
   /// hook is compiled out there) self-skips the allocs/request gate with
   /// the reason recorded in the report's gate_skips.
   std::uint64_t (*alloc_counter)() = nullptr;
-  /// Replica sweep: re-run a describe-heavy mix through a journal + route
-  /// stack at each replica count in {0, 2} (quick) / {0, 2, 4}, reads
-  /// served by WAL-shipped replicas under the bounded-staleness contract.
-  /// --no-replica-sweep disables.
-  bool replica_sweep = true;
-  /// Staleness bound for the sweep's RouteLayer, in committed records.
-  std::uint64_t replica_lag_max = 64;
-  /// Gate: the best replicated configuration (>= 2 replicas) must reach
-  /// this factor over the 0-replica journaled baseline. Self-skips under
-  /// sanitizers and on single-core machines (replica reads only win by
-  /// running in parallel with primary writes).
-  double min_replica_speedup = 1.0;
 };
 
 /// Parse bench flags (--quick, --json FILE, --ops N, --concurrency a,b,c,
 /// --rate R, --seed N, --min-speedup X, --no-enforce, --no-json,
 /// --data-dir DIR, --wal-sync none|batch, --max-wal-overhead X,
 /// --no-http, --io-threads N, --min-keepalive-speedup X,
-/// --http-pipeline N, --min-http-speedup X, --max-serve-allocs N,
-/// --no-replica-sweep, --replica-lag-max K, --min-replica-speedup X)
-/// into `out`. Returns false (and prints to stderr) on unknown flags.
+/// --http-pipeline N, --min-http-speedup X, --max-serve-allocs N) into
+/// `out`. Returns false (and prints to stderr) on unknown flags.
 bool parse_serve_bench_args(int argc, char** argv, ServeBenchOptions& out);
 
 /// Run the benchmark; returns the process exit code (0 = pass).

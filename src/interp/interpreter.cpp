@@ -585,7 +585,7 @@ ApiResponse Interpreter::invoke(const ApiRequest& req) {
   if (req.api == timers::kAdvanceClockApi) return advance_clock(req);
   FailureSite site;
   ApiResponse resp;
-  if (opts_.use_arena && detail::current_arena() == nullptr) {
+  if (detail::current_arena() == nullptr) {
     // Request-scoped arena: every transient Value rep block this invoke
     // builds on this thread is bump-allocated and reclaimed in one reset.
     // Store writes detach at the write site; the response detaches here,

@@ -43,13 +43,6 @@ struct InterpreterOptions {
   /// reference path; both produce byte-identical responses, dumps and
   /// alignment reports (enforced by the differential equivalence suite).
   bool use_plan = true;
-  /// Serve each invoke with a request-scoped bump arena (common/arena.h)
-  /// backing every transient Value rep block — parameter copies, eval
-  /// temporaries, response assembly. Values escaping the request (store
-  /// writes, the returned response) are detached to the heap; the arena
-  /// is reset once per invoke. Purely an allocation-count optimization:
-  /// responses, dumps and reports are byte-identical either way.
-  bool use_arena = true;
   /// Optional message enrichment.
   MessageDecoder decoder;
   /// Backend display name.
@@ -96,12 +89,13 @@ class Interpreter final : public CloudBackend {
   std::unique_ptr<CloudBackend> clone() const override;
 
   /// True when `api` resolves to a transition whose lock plan is
-  /// read-shared — it provably mutates nothing, so a read replica may
-  /// serve it (the RouteLayer's classification source). Sourced from the
-  /// compiled plan's cached lock plans when use_plan, from the same
-  /// classifier run on demand otherwise; both agree by construction.
-  /// Unknown APIs are not read-only (they must reach the primary, whose
-  /// dispatch produces the canonical InvalidAction reply).
+  /// read-shared — it provably mutates nothing, so the persist journal
+  /// may skip it (PersistManager::should_log). Sourced from the compiled
+  /// plan's cached lock plans when use_plan, from the same classifier run
+  /// on demand otherwise; both agree by construction. APIs that are not
+  /// plan transitions are not read-only: unknown APIs (journaled so replay
+  /// reproduces their InvalidAction reply) and _AdvanceClock (journaled
+  /// so recovery and replay re-fire the same timers).
   bool read_only_api(const std::string& api) const;
 
   const spec::SpecSet& spec() const { return spec_; }

@@ -17,9 +17,9 @@ namespace lce::interp::timers {
 
 /// Built-in pseudo-API advancing the virtual clock ({"ticks": N}); not a
 /// spec transition — Interpreter::invoke intercepts it before dispatch.
-/// The name deliberately fails ReadCacheLayer::is_read_api, so the persist
-/// stack journals every advance as an ordinary kCall record and recovery,
-/// replay and replicas re-fire the exact same timer sequence.
+/// Because it is not a plan API, Interpreter::read_only_api is false for
+/// it, so the persist stack journals every advance as an ordinary kCall
+/// record and recovery and replay re-fire the exact same timer sequence.
 inline constexpr std::string_view kAdvanceClockApi = "_AdvanceClock";
 
 /// Bring the timers for `r` in line with its current attribute values:

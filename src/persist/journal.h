@@ -36,17 +36,17 @@ class Interpreter;
 
 namespace lce::persist {
 
-class WalFeed;
-
 struct PersistOptions {
   std::string data_dir;
   WalSync sync = WalSync::kNone;
   /// Take a snapshot (rotating the epoch) once the WAL holds this many
   /// records. 0 = only on demand.
   std::uint64_t snapshot_every = 0;
-  /// Journal read APIs too (Describe*/Get*/List*). Off by default: reads
-  /// don't change state, so logging them only buys replay-time response
-  /// verification at the cost of WAL volume.
+  /// Journal read APIs too: the calls the compiled plan locks read-shared
+  /// (Interpreter::read_only_api). Off by default: reads don't change
+  /// state, so logging them only buys replay-time response verification
+  /// at the cost of WAL volume. Everything else is always journaled,
+  /// including unknown APIs and _AdvanceClock, which is not a plan API.
   bool log_reads = false;
 };
 
@@ -70,7 +70,9 @@ class PersistManager {
                                               std::string* error,
                                               RecoveryResult* recovery = nullptr);
 
-  /// True when `api` must be journaled under this configuration.
+  /// True when `api` must be journaled under this configuration: every
+  /// API the compiled plan does not classify read-only, plus reads when
+  /// log_reads is set.
   bool should_log(const std::string& api) const;
 
   /// Append one invocation (caller holds gate() shared across the inner
@@ -90,18 +92,6 @@ class PersistManager {
   /// snapshot when the cadence threshold is crossed.
   void maybe_auto_snapshot();
 
-  /// Publish every subsequently committed record (journal_call /
-  /// journal_reset, after the WAL append succeeds) to `feed` — the
-  /// replication hookup (replica.h). One feed per manager; false when one
-  /// is already attached. Quiesces writers for the swap, so no committed
-  /// record straddles the attachment.
-  bool attach_feed(std::shared_ptr<WalFeed> feed);
-  std::shared_ptr<WalFeed> feed() const;
-
-  /// The primary interpreter this manager journals for (replica seeding
-  /// and promotion dumps; take gate() exclusive to quiesce it first).
-  interp::Interpreter& primary() { return interp_; }
-
   PersistStatus status() const;
   const PersistOptions& options() const { return opts_; }
   std::shared_mutex& gate() { return gate_; }
@@ -116,7 +106,6 @@ class PersistManager {
   mutable std::shared_mutex gate_;
   std::uint64_t epoch_;            // guarded by gate_
   std::unique_ptr<WalWriter> wal_; // pointer swaps guarded by gate_ exclusive
-  std::shared_ptr<WalFeed> feed_;  // attach guarded by gate_ exclusive
   std::atomic<std::uint64_t> snapshots_taken_{0};
   std::atomic<bool> snapshotting_{false};  // collapses concurrent triggers
 };

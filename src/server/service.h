@@ -29,7 +29,6 @@
 
 namespace lce::persist {
 class PersistManager;
-class ReplicaSet;
 }  // namespace lce::persist
 
 namespace lce::server {
@@ -45,17 +44,12 @@ using stack::looks_like_resource_id;
 /// /admin/snapshot and /admin/persist durability routes. `server` (may be
 /// null) adds the front-end counters — accepted connections, keep-alive
 /// reuses, reaps, rejections — under "server" in the /metrics body.
-/// `replicas` (may be null) serves GET /admin/replicas (per-replica
-/// applied-seq/lag) and POST /admin/promote (drain + byte-identity
-/// verification against the primary) and, with a RouteLayer in the
-/// stack, the "route" section of /metrics. `virtual_time` lights up
-/// POST /admin/tick ({"Ticks": N}, default 1), which pushes an
-/// _AdvanceClock call through the stack so the journal logs the advance
-/// like any other write.
+/// `virtual_time` lights up POST /admin/tick ({"Ticks": N}, default 1),
+/// which pushes an _AdvanceClock call through the stack so the journal
+/// logs the advance like any other write.
 HttpResponse handle_emulator_request(CloudBackend& backend, const HttpRequest& req,
                                      persist::PersistManager* persist = nullptr,
                                      const HttpServer* server = nullptr,
-                                     persist::ReplicaSet* replicas = nullptr,
                                      bool virtual_time = false);
 
 /// A running emulator endpoint; owns the server thread and the layer stack
@@ -68,15 +62,11 @@ class EmulatorEndpoint {
   /// config's journal hook is overwritten) and the /admin routes light up.
   /// `http` tunes the serving front end (io threads, idle timeout,
   /// per-connection request cap, parser limits).
-  /// `replicas` (optional, caller-owned, must outlive the endpoint)
-  /// lights up the /admin/replicas and /admin/promote routes; the
-  /// RouteLayer itself is installed via config.route (the CLI wires
-  /// both from --replicas). `virtual_time` lights up POST /admin/tick
-  /// (the CLI wires it from --virtual-time).
+  /// `virtual_time` lights up POST /admin/tick (the CLI wires it from
+  /// --virtual-time).
   explicit EmulatorEndpoint(CloudBackend& backend, stack::StackConfig config = {},
                             persist::PersistManager* persist = nullptr,
                             HttpServerOptions http = {},
-                            persist::ReplicaSet* replicas = nullptr,
                             bool virtual_time = false);
 
   /// Bind and serve; returns the port (0 = failure).
@@ -95,7 +85,6 @@ class EmulatorEndpoint {
  private:
   stack::LayerStack stack_;
   persist::PersistManager* persist_;
-  persist::ReplicaSet* replicas_;
   bool virtual_time_;
   HttpServer server_;
 };

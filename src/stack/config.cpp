@@ -16,7 +16,6 @@ void push_layers(LayerStack& stack, const StackConfig& config,
   if (config.read_cache) stack.push(std::make_unique<ReadCacheLayer>());
   if (config.record) stack.push(std::make_unique<RecordLayer>());
   if (config.journal) stack.push(config.journal());
-  if (config.route) stack.push(config.route());
   if (config.validate) stack.push(std::make_unique<ValidateLayer>());
   if (config.fault_seed) {
     stack.push(std::make_unique<FaultLayer>(*config.fault_seed, config.fault));

@@ -4,20 +4,17 @@
 //
 // Canonical order, outermost (sees requests first) to innermost:
 //
-//   metrics -> fault -> validate -> route -> journal -> record
-//     -> read_cache -> serialize -> base
+//   metrics -> fault -> validate -> journal -> record -> read_cache
+//     -> serialize -> base
 //
 // Rationale: metrics observes everything including injected faults;
 // faults fire at the front door before any real work; validation
 // normalizes args so the journal logs (and the recorder captures)
-// replayable calls and the cache keys canonical requests; the route
-// layer sits below validate (replicas apply normalized WAL records, so
-// routed reads must carry the same normalized shape) and above the
-// journal (a replica-served read never touches the primary's WAL gate);
-// the journal sits below validate so the WAL holds normalized calls but
-// above the cache so cache hits are not journaled as writes; the read
-// cache sits above serialize so cache hits never take the backend mutex;
-// serialize is the innermost gate protecting single-threaded backends.
+// replayable calls and the cache keys canonical requests; the journal
+// sits below validate so the WAL holds normalized calls but above the
+// cache so cache hits are not journaled as writes; the read cache sits
+// above serialize so cache hits never take the backend mutex; serialize
+// is the innermost gate protecting single-threaded backends.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +50,6 @@ struct StackConfig {
   /// record. The durability subsystem (src/persist) injects its
   /// JournalLayer here, keeping lce_stack free of a persist dependency.
   std::function<std::unique_ptr<BackendLayer>()> journal;
-  /// Engaged => the factory's layer is installed between validate and
-  /// journal. The replication tier (src/persist/replica.h) injects a
-  /// RouteLayer here, keeping lce_stack free of a persist dependency.
-  std::function<std::unique_ptr<BackendLayer>()> route;
 };
 
 /// Build the configured stack around a base backend the caller keeps

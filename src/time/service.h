@@ -71,8 +71,8 @@ class TimerService {
   /// and byte-identical store dumps.
   std::vector<TimerInfo> snapshot() const;
 
-  /// Rebuild from a snapshot (recovery / replica bootstrap). Replaces all
-  /// state; `timers` need not be sorted.
+  /// Rebuild from a snapshot (recovery). Replaces all state; `timers`
+  /// need not be sorted.
   void restore(std::uint64_t now, std::uint64_t next_seq, std::vector<TimerInfo> timers);
 
  private:

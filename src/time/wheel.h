@@ -9,7 +9,7 @@
 // advances in O(1) outright.
 //
 // Determinism contract: entries pop in strict (deadline, seq) order, so two
-// replicas that schedule the same (deadline, seq) pairs observe the same
+// wheels that schedule the same (deadline, seq) pairs observe the same
 // fire sequence byte-for-byte. The wheel never blocks and knows nothing of
 // wall clocks or threads; TimerService adds payloads and locking.
 #pragma once

@@ -46,11 +46,19 @@ docs::CloudCatalog documented_of(const PipelineCase& c) {
   return catalog;
 }
 
-class PipelineProperty : public ::testing::TestWithParam<PipelineCase> {
+// Both suites below take an index into kCases, not the case itself: gtest
+// prints a struct it has no printer for as raw bytes, heap addresses
+// included, and gtest_discover_tests copies that text into each ctest test
+// name, which then differs from run to run.
+class PipelineProperty : public ::testing::TestWithParam<std::size_t> {
  protected:
-  docs::CloudCatalog truth() const { return truth_of(GetParam()); }
-  docs::CloudCatalog documented() const { return documented_of(GetParam()); }
+  docs::CloudCatalog truth() const { return truth_of(kCases[GetParam()]); }
+  docs::CloudCatalog documented() const { return documented_of(kCases[GetParam()]); }
 };
+
+std::string case_name(const ::testing::TestParamInfo<std::size_t>& info) {
+  return kCases[info.param].name;
+}
 
 TEST_P(PipelineProperty, LearnedSpecIsStaticallyClean) {
   auto emu = LearnedEmulator::from_docs(docs::render_corpus(documented()));
@@ -151,16 +159,11 @@ TEST(PipelineEvolution, ReSynthesisTracksDocUpdates) {
   EXPECT_EQ(emu_resp[2].code, "LimitExceededException");
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Providers, PipelineProperty, ::testing::ValuesIn(kCases),
-    [](const ::testing::TestParamInfo<PipelineCase>& info) {
-      return info.param.name;
-    });
+INSTANTIATE_TEST_SUITE_P(Providers, PipelineProperty,
+                         ::testing::Range<std::size_t>(0, std::size(kCases)),
+                         case_name);
 
-// Wrangling reads only the docs layer. This suite takes an index into
-// kCases, not the case itself: gtest prints a struct it has no printer for
-// as raw bytes, heap addresses included, and gtest_discover_tests copies
-// that text into each ctest test name, which then differs from run to run.
+// Wrangling reads only the docs layer.
 class WrangleProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(WrangleProperty, IsLossless) {
@@ -171,12 +174,9 @@ TEST_P(WrangleProperty, IsLossless) {
   EXPECT_EQ(got.catalog.api_count(), truth_of(c).api_count());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Providers, WrangleProperty,
-    ::testing::Range<std::size_t>(0, std::size(kCases)),
-    [](const ::testing::TestParamInfo<std::size_t>& info) {
-      return kCases[info.param].name;
-    });
+INSTANTIATE_TEST_SUITE_P(Providers, WrangleProperty,
+                         ::testing::Range<std::size_t>(0, std::size(kCases)),
+                         case_name);
 
 }  // namespace
 }  // namespace lce::core

@@ -1,8 +1,7 @@
 // Virtual time through the durability stack: the v2 store codec carries
 // the clock + armed timer set byte-exactly (with v1 inputs still
-// accepted), journaled _AdvanceClock records make recovery and replay
-// re-fire the exact same timer sequence, and WAL-shipped replicas
-// converge to byte-identical dumps with timers in flight.
+// accepted), and journaled _AdvanceClock records make recovery and replay
+// re-fire the exact same timer sequence.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -15,10 +14,8 @@
 #include "interp/interpreter.h"
 #include "interp/timers.h"
 #include "persist/format.h"
-#include "persist/journal.h"
 #include "persist/persist_test_util.h"
 #include "persist/recovery.h"
-#include "persist/replica.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 
@@ -203,43 +200,6 @@ TEST(TimerReplay, ReplayDirVerifiesAdvanceResponses) {
   EXPECT_EQ(rep.recovery.wal_records, 2u);
   EXPECT_EQ(rep.mismatches, 0u) << rep.first_mismatch;
   EXPECT_TRUE(rep.dumps_identical);
-}
-
-TEST(TimerReplica, ShippedAdvancesConvergeByteIdentically) {
-  ScratchDir dir;
-  auto it = make_timer_interp();
-  PersistOptions popts;
-  popts.data_dir = dir.path();
-  std::string error;
-  auto mgr = PersistManager::open(it, popts, &error);
-  ASSERT_NE(mgr, nullptr) << error;
-
-  auto commit = [&](const ApiRequest& req) {
-    std::shared_lock<std::shared_mutex> gate(mgr->gate());
-    ApiResponse resp = it.invoke(req);
-    EXPECT_TRUE(mgr->journal_call(req, resp));
-    return resp;
-  };
-
-  // One armed timer baked into the replica seed clone...
-  auto created = commit({"RunInstance", {{"zone", Value("us-east")}}, ""});
-  ASSERT_TRUE(created.ok);
-  const std::string id(created.data.get("id")->as_str());
-  auto set = ReplicaSet::create(*mgr, 2, {}, &error);
-  ASSERT_NE(set, nullptr) << error;
-  // ...and fires + re-arms shipped through the feed afterwards.
-  commit({"CreateMonitor", {}, ""});
-  commit({std::string(interp::timers::kAdvanceClockApi), {{"ticks", Value(3)}}, ""});
-  commit({"StopInstance", {{"id", Value::ref(id)}}, ""});
-  commit({std::string(interp::timers::kAdvanceClockApi), {{"ticks", Value(9)}}, ""});
-
-  ASSERT_TRUE(set->drain());
-  for (std::size_t i = 0; i < 2; ++i) {
-    PromoteReport rep = set->promote(i);
-    EXPECT_TRUE(rep.ok) << rep.error;
-    EXPECT_TRUE(rep.dumps_identical) << "replica " << i;
-    EXPECT_EQ(rep.mismatches, 0u);
-  }
 }
 
 }  // namespace

@@ -34,8 +34,7 @@ class TickEndpointTest : public ::testing::Test {
     req.path = path;
     req.body = body;
     return handle_emulator_request(stack_, req, /*persist=*/nullptr,
-                                   /*server=*/nullptr, /*replicas=*/nullptr,
-                                   virtual_time);
+                                   /*server=*/nullptr, virtual_time);
   }
 
   HttpResponse tick(const std::string& body, bool virtual_time = true) {
