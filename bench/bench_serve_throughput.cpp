@@ -3,8 +3,8 @@
 // for the driver and DESIGN.md "Serve throughput benchmark" for the
 // methodology). CI runs `--quick --json BENCH_serve.json` as the
 // bench-smoke gate; the exit status enforces sharded > serialized at the
-// top measured concurrency >= 4, the zero-copy wire fast path over the
-// heap path at the pipelined point, and allocs/request on the serve path.
+// top measured concurrency >= 4, WAL overhead, keep-alive over
+// close-per-request, and allocs/request on the serve path.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>

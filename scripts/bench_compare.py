@@ -60,7 +60,6 @@ def serve_metrics(doc):
         Metric("speedup_at_gate", parse_ratio(doc.get("speedup_at_gate")), "higher"),
         Metric("wal_overhead", parse_ratio(doc.get("wal_overhead")), "lower"),
         Metric("keepalive_speedup", parse_ratio(doc.get("keepalive_speedup")), "higher"),
-        Metric("http_speedup", parse_ratio(doc.get("http_speedup")), "higher"),
     ]
     # Serve-path allocs/request (x10 integers, like the interpreter bench's
     # alloc_per_op_x10): counted rather than timed, so machine-independent.
@@ -69,10 +68,6 @@ def serve_metrics(doc):
     if doc.get("serve_alloc_per_req_x10") is not None:
         out.append(Metric("serve_alloc_per_req_x10",
                           parse_ratio(doc.get("serve_alloc_per_req_x10")), "lower"))
-    if doc.get("serve_alloc_heap_per_req_x10") is not None:
-        out.append(Metric("serve_alloc_heap_per_req_x10",
-                          parse_ratio(doc.get("serve_alloc_heap_per_req_x10")),
-                          "lower", gated=False))
     for row in doc.get("closed_loop", []) or []:
         name = f"closed_loop/{row.get('config')}/c{row.get('concurrency')}"
         out.append(Metric(name + " ops/s", parse_ratio(row.get("throughput_ops_s")),

@@ -770,8 +770,8 @@ std::vector<GenTrace> TraceGenerator::generate(const std::string& machine,
   const Transition* t = m != nullptr ? m->find_transition(transition) : nullptr;
   if (m == nullptr || t == nullptr || is_internal_transition(transition)) return out;
 
+  // Every class site counts itself in classes_total before it can skip.
   auto skip = [&](const std::string& why) {
-    ++stats.classes_total;
     stats.skipped.push_back(strf(machine, "::", transition, ": ", why));
   };
 

@@ -18,6 +18,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Workload mix in percent; the remaining 70% are describes.
+constexpr int kCreatePct = 10;
+constexpr int kMutatePct = 20;
+
 /// Unique-enough CIDR for the n-th created vpc: 65536 distinct /24 blocks,
 /// wrapping after that (duplicates are legal for top-level vpcs).
 std::string cidr_for(std::uint64_t n) {
@@ -105,70 +109,18 @@ LoadStats run_load(CloudBackend& backend, const LoadOptions& opts) {
     auto make_req = [&](std::size_t k) -> ApiRequest {
       int roll = static_cast<int>(rng.uniform(100));
       const Value* target = nullptr;
-      if (roll >= opts.mix.create_pct) target = pick_target();
-      if (roll < opts.mix.create_pct || target == nullptr) {
+      if (roll >= kCreatePct) target = pick_target();
+      if (roll < kCreatePct || target == nullptr) {
         std::uint64_t n = cidr_counter.fetch_add(1, std::memory_order_relaxed);
         return {"CreateVpc", {{"cidr_block", Value(cidr_for(n))}}, ""};
       }
-      if (roll < opts.mix.create_pct + opts.mix.mutate_pct) {
+      if (roll < kCreatePct + kMutatePct) {
         return {"ModifyVpcDescription",
                 {{"id", *target}, {"value", Value(strf("w", w, "-op", k))}},
                 ""};
       }
       return {"DescribeVpc", {{"id", *target}}, ""};
     };
-    auto account = [&](const ApiRequest& req, const ApiResponse& resp,
-                       Clock::time_point measured_from, Clock::time_point now) {
-      if (resp.ok) {
-        if (req.api == "CreateVpc" && resp.data.get("id") != nullptr) {
-          own_ids.push_back(*resp.data.get("id"));
-        }
-      } else {
-        ++out.errors;
-      }
-      ++out.ops;
-      out.latencies_us.push_back(
-          std::chrono::duration<double, std::micro>(now - measured_from).count());
-    };
-
-    // Pipelining only makes sense when a persistent connection carries a
-    // closed-loop stream; open loop keeps its own per-op schedule.
-    std::size_t depth = 1;
-    if (client != nullptr && opts.http_keep_alive && opts.arrival_rate <= 0 &&
-        opts.http_pipeline > 1) {
-      depth = static_cast<std::size_t>(opts.http_pipeline);
-    }
-
-    if (depth > 1) {
-      std::vector<ApiRequest> batch;
-      batch.reserve(depth);
-      for (;;) {
-        batch.clear();
-        while (batch.size() < depth) {
-          std::size_t k = next_op.fetch_add(1, std::memory_order_relaxed);
-          if (k >= opts.total_ops) break;
-          batch.push_back(make_req(k));
-        }
-        if (batch.empty()) break;
-        auto batch_start = Clock::now();
-        std::size_t sent = 0;
-        for (const auto& req : batch) {
-          if (!server::send_invoke(*client, req.api, req.args,
-                                   opts.http_keep_alive)) {
-            break;
-          }
-          ++sent;
-        }
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          ApiResponse resp =
-              i < sent ? server::read_invoke_response(*client)
-                       : ApiResponse::failure("TransportError", "send failed");
-          account(batch[i], resp, batch_start, Clock::now());
-        }
-      }
-      return;
-    }
-
     for (;;) {
       std::size_t k = next_op.fetch_add(1, std::memory_order_relaxed);
       if (k >= opts.total_ops) break;
@@ -189,7 +141,16 @@ LoadStats run_load(CloudBackend& backend, const LoadOptions& opts) {
       ApiRequest req = make_req(k);
       ApiResponse resp = invoke(req);
       auto now = Clock::now();
-      account(req, resp, measured_from, now);
+      if (resp.ok) {
+        if (req.api == "CreateVpc" && resp.data.get("id") != nullptr) {
+          own_ids.push_back(*resp.data.get("id"));
+        }
+      } else {
+        ++out.errors;
+      }
+      ++out.ops;
+      out.latencies_us.push_back(
+          std::chrono::duration<double, std::micro>(now - measured_from).count());
     }
   };
 

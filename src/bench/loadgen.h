@@ -11,9 +11,9 @@
 //                saturated backend is charged to the backend instead of
 //                being silently absorbed (no coordinated omission).
 //
-// The workload shape matches the LocalStack steady state: mostly
-// describes, some attribute writes, a trickle of creates. All randomness
-// is SplitMix64-seeded per worker, so the op SEQUENCE is reproducible;
+// The workload shape matches the LocalStack steady state and is fixed:
+// 70% describes, 20% attribute writes, 10% creates. All randomness is
+// SplitMix64-seeded per worker, so the op SEQUENCE is reproducible;
 // timings of course are not.
 #pragma once
 
@@ -26,13 +26,6 @@
 
 namespace lce::bench {
 
-/// Workload mix in percent; the remainder after create + mutate is the
-/// describe share.
-struct WorkloadMix {
-  int create_pct = 10;
-  int mutate_pct = 20;
-};
-
 struct LoadOptions {
   int concurrency = 4;
   std::size_t total_ops = 8000;   // across all workers
@@ -42,7 +35,6 @@ struct LoadOptions {
   /// Resources created (serially) before the measured phase, so describes
   /// and mutates have targets from the first op on.
   std::size_t prepopulate = 64;
-  WorkloadMix mix;
   /// When nonzero, the measured phase drives a live loopback endpoint on
   /// this port over real sockets (POST /invoke) instead of calling the
   /// backend in process. reset() and prepopulation still go through the
@@ -52,14 +44,6 @@ struct LoadOptions {
   /// fresh Connection: close socket per request. The difference is the
   /// keep-alive sweep in BENCH_serve.json.
   bool http_keep_alive = true;
-  /// HTTP closed-loop keep-alive only: requests kept in flight per
-  /// connection. Depth 1 is strict request/response ping-pong; deeper
-  /// windows pipeline a burst per batch, amortizing the per-request RTT so
-  /// wire CPU (not syscall latency) dominates — the regime the zero-copy
-  /// fast path is gated in. Latency is measured from the batch send, so
-  /// pipeline queueing is charged to the server. Ignored in open-loop and
-  /// Connection: close modes.
-  int http_pipeline = 1;
 };
 
 struct LoadStats {

@@ -109,7 +109,7 @@ int dial_loopback(std::uint16_t port) {
 }
 
 /// Complete Content-Length-framed responses in buf[0..len), without
-/// allocating. Both serve paths emit the lowercase "content-length: " form.
+/// allocating. The server emits the lowercase "content-length: " form.
 std::size_t count_frames(const char* data, std::size_t len) {
   std::string_view sv(data, len);
   std::size_t count = 0;
@@ -238,10 +238,6 @@ bool parse_serve_bench_args(int argc, char** argv, ServeBenchOptions& out) {
       out.io_threads = std::atoi(argv[++i]);
     } else if (arg == "--min-keepalive-speedup" && i + 1 < argc) {
       out.min_keepalive_speedup = std::atof(argv[++i]);
-    } else if (arg == "--http-pipeline" && i + 1 < argc) {
-      out.http_pipeline = std::atoi(argv[++i]);
-    } else if (arg == "--min-http-speedup" && i + 1 < argc) {
-      out.min_http_speedup = std::atof(argv[++i]);
     } else if (arg == "--max-serve-allocs" && i + 1 < argc) {
       out.max_serve_allocs = std::atof(argv[++i]);
     } else {
@@ -250,8 +246,7 @@ bool parse_serve_bench_args(int argc, char** argv, ServeBenchOptions& out) {
                    "--concurrency a,b,c --rate R --seed N --min-speedup X "
                    "--no-enforce --data-dir DIR --wal-sync none|batch "
                    "--max-wal-overhead X --no-http --io-threads N "
-                   "--min-keepalive-speedup X --http-pipeline N "
-                   "--min-http-speedup X --max-serve-allocs N\n";
+                   "--min-keepalive-speedup X --max-serve-allocs N\n";
       return false;
     }
   }
@@ -406,9 +401,7 @@ int run_serve_bench(const ServeBenchOptions& opts) {
   // request — then an open-loop latency run near the keep-alive peak.
   std::vector<SweepPoint> http_points;
   double ka_speedup = 0;
-  double http_speedup = 0;
   double serve_allocs = -1;
-  double serve_allocs_heap = -1;
   double http_rate = 0;
   int http_io_threads = 0;
   if (opts.http_sweep) {
@@ -465,67 +458,15 @@ int run_serve_bench(const ServeBenchOptions& opts) {
       http_points.push_back(std::move(p));
     }
 
-    // Wire fast-path comparison: the same sharded stack served twice at a
-    // pipelined keep-alive point — once through the zero-copy wire path
-    // (`endpoint`, the default) and once through the --no-wire-fastpath
-    // heap path — so the ratio isolates wire CPU: request parsing, JSON
-    // decode, and response rendering (DESIGN.md "Wire fast path").
-    server::HttpServerOptions heap_hopts = hopts;
-    heap_hopts.wire_fastpath = false;
-    server::EmulatorEndpoint heap_endpoint(emulator.backend(),
-                                           bench_config(stack::SerializeMode::kOff),
-                                           nullptr, heap_hopts);
-    std::uint16_t heap_port = heap_endpoint.start();
-    if (heap_port == 0) {
-      std::cerr << "cannot bind the heap-path comparison endpoint\n";
-      return 1;
-    }
-    double fast_tput = 0, heap_tput = 0;
-    std::cout << "\nwire fast path vs heap path (pipeline depth "
-              << opts.http_pipeline << ", concurrency " << hc << "):\n";
-    for (bool fast : {false, true}) {
-      LoadOptions lo = base;
-      lo.concurrency = hc;
-      lo.http_port = fast ? port : heap_port;
-      lo.http_pipeline = opts.http_pipeline;
-      SweepPoint p;
-      p.config = fast ? "http_fastpath_pipelined" : "http_heap_pipelined";
-      p.concurrency = hc;
-      auto& ep = fast ? endpoint : heap_endpoint;
-      auto before = ep.server_stats();
-      p.stats = run_load(ep.stack(), lo);
-      auto after = ep.server_stats();
-      p.connections = static_cast<std::int64_t>(after.connections_accepted -
-                                                before.connections_accepted);
-      (fast ? fast_tput : heap_tput) = p.stats.throughput_ops_s;
-      std::cout << "  " << p.config << ": "
-                << static_cast<long>(p.stats.throughput_ops_s) << " ops/s, p99 "
-                << static_cast<long>(p.stats.p99_us) << " us, errors "
-                << p.stats.errors << "\n";
-      http_points.push_back(std::move(p));
-    }
-    http_speedup = heap_tput > 0 ? fast_tput / heap_tput : 0;
-
-    // Allocations per served request, fast path gated and heap path as the
-    // reference number. Counted, not timed — valid even on one core.
+    // Allocations per served request. Counted, not timed — valid even on
+    // one core.
     if (opts.alloc_counter != nullptr) {
       serve_allocs = run_alloc_probe(port, opts.alloc_counter);
-      serve_allocs_heap = run_alloc_probe(heap_port, opts.alloc_counter);
-      std::cout << "  allocs/request over a pipelined keep-alive burst: fast ";
-      if (serve_allocs >= 0) {
-        std::cout << fixed_digits(serve_allocs, 1);
-      } else {
-        std::cout << "probe-failed";
-      }
-      std::cout << ", heap ";
-      if (serve_allocs_heap >= 0) {
-        std::cout << fixed_digits(serve_allocs_heap, 1);
-      } else {
-        std::cout << "probe-failed";
-      }
-      std::cout << "\n";
+      std::cout << "  allocs/request over a pipelined keep-alive burst: "
+                << (serve_allocs >= 0 ? fixed_digits(serve_allocs, 1)
+                                      : std::string("probe-failed"))
+                << "\n";
     }
-    heap_endpoint.stop();
     endpoint.stop();
   }
 
@@ -538,13 +479,6 @@ int run_serve_bench(const ServeBenchOptions& opts) {
   // meaningless, so the gate self-skips there.
   bool ka_applicable = opts.enforce && opts.http_sweep && !kSanitized && hw >= 2;
   bool ka_pass = !ka_applicable || ka_speedup >= opts.min_keepalive_speedup;
-  // The zero-copy fast path must beat the heap path at the pipelined
-  // point. Single-core runners serve the load generator and the event
-  // loop on the same core, so the ratio measures scheduling, not wire
-  // CPU — skipped there, like the other timed gates.
-  bool fastpath_applicable =
-      opts.enforce && opts.http_sweep && !kSanitized && hw >= 2;
-  bool fastpath_pass = !fastpath_applicable || http_speedup >= opts.min_http_speedup;
   // Allocs/request is counted, not timed, so it holds on any core count —
   // but it needs the binary's operator-new hook (compiled out under
   // sanitizers, absent in `lce bench serve`).
@@ -552,21 +486,13 @@ int run_serve_bench(const ServeBenchOptions& opts) {
                           opts.alloc_counter != nullptr && opts.max_serve_allocs > 0;
   bool alloc_pass =
       !alloc_applicable || (serve_allocs >= 0 && serve_allocs <= opts.max_serve_allocs);
-  bool pass = speedup_pass && wal_pass && ka_pass && fastpath_pass && alloc_pass;
+  bool pass = speedup_pass && wal_pass && ka_pass && alloc_pass;
   if (ka_applicable) {
     std::cout << "\nkeep-alive >= " << fmt_speedup(opts.min_keepalive_speedup)
               << " close-per-request: " << (ka_pass ? "PASS" : "FAIL") << " ("
               << fmt_speedup(ka_speedup) << ")\n";
   } else if (opts.enforce && opts.http_sweep) {
     std::cout << "\nkeep-alive gate skipped ("
-              << (kSanitized ? "sanitizer build" : "single-core machine") << ")\n";
-  }
-  if (fastpath_applicable) {
-    std::cout << "wire fast path >= " << fmt_speedup(opts.min_http_speedup)
-              << " heap path (pipelined): " << (fastpath_pass ? "PASS" : "FAIL")
-              << " (" << fmt_speedup(http_speedup) << ")\n";
-  } else if (opts.enforce && opts.http_sweep) {
-    std::cout << "wire fast-path gate skipped ("
               << (kSanitized ? "sanitizer build" : "single-core machine") << ")\n";
   }
   if (alloc_applicable) {
@@ -614,17 +540,11 @@ int run_serve_bench(const ServeBenchOptions& opts) {
     }
     root["http_front_end"] = Value(std::move(http_rows));
     root["keepalive_speedup"] = Value(fmt_speedup(ka_speedup));
-    root["http_speedup"] = Value(fmt_speedup(http_speedup));
-    root["http_pipeline"] = Value(static_cast<std::int64_t>(opts.http_pipeline));
     // Allocation counts ride as x10 integers (Value is integer-only) —
     // same convention as the interpreter bench's alloc_per_op_x10.
     if (serve_allocs >= 0) {
       root["serve_alloc_per_req_x10"] =
           Value(static_cast<std::int64_t>(serve_allocs * 10 + 0.5));
-    }
-    if (serve_allocs_heap >= 0) {
-      root["serve_alloc_heap_per_req_x10"] =
-          Value(static_cast<std::int64_t>(serve_allocs_heap * 10 + 0.5));
     }
     root["io_threads"] = Value(static_cast<std::int64_t>(http_io_threads));
     root["speedup_at_gate"] = Value(fmt_speedup(gate_speedup));
@@ -641,10 +561,6 @@ int run_serve_bench(const ServeBenchOptions& opts) {
     }
     if (opts.enforce && opts.http_sweep && !ka_applicable) {
       gate_skips["keepalive"] = Value(
-          std::string(kSanitized ? "sanitizer build" : "single-core machine"));
-    }
-    if (opts.enforce && opts.http_sweep && !fastpath_applicable) {
-      gate_skips["http_fastpath"] = Value(
           std::string(kSanitized ? "sanitizer build" : "single-core machine"));
     }
     if (opts.enforce && opts.http_sweep && opts.max_serve_allocs > 0 &&

@@ -60,19 +60,11 @@ struct ServeBenchOptions {
   /// request at the sweep concurrency. Self-skips under sanitizers and on
   /// single-core machines (no reuse win exists without parallel loops).
   double min_keepalive_speedup = 1.0;
-  /// Pipelining depth for the wire fast-path comparison: requests kept in
-  /// flight per keep-alive connection, so wire CPU (not per-request RTT)
-  /// dominates — the regime the zero-copy path is gated in.
-  int http_pipeline = 8;
-  /// Gate: the zero-copy wire fast path must reach this factor over the
-  /// --no-wire-fastpath heap path on the pipelined keep-alive point.
-  /// Self-skips under sanitizers and on single-core machines.
-  double min_http_speedup = 1.5;
-  /// Gate: steady-state heap allocations per request served through the
-  /// fast path over a pipelined keep-alive burst (client side of the probe
-  /// is allocation-free, so this counts the serve path alone). The
-  /// zero-copy path measures ~4 (the interpreter's result tree, built
-  /// outside the arena by design); the heap path ~33. 0 disables.
+  /// Gate: steady-state heap allocations per request served over a
+  /// pipelined keep-alive burst (client side of the probe is
+  /// allocation-free, so this counts the serve path alone). The wire path
+  /// measures ~4 (the interpreter's result tree, built outside the arena
+  /// by design). 0 disables.
   double max_serve_allocs = 16.0;
   /// Process-wide allocation counter, installed by bench_serve_throughput's
   /// operator-new hook. nullptr (`lce bench serve`, sanitizer builds — the
@@ -85,8 +77,8 @@ struct ServeBenchOptions {
 /// --rate R, --seed N, --min-speedup X, --no-enforce, --no-json,
 /// --data-dir DIR, --wal-sync none|batch, --max-wal-overhead X,
 /// --no-http, --io-threads N, --min-keepalive-speedup X,
-/// --http-pipeline N, --min-http-speedup X, --max-serve-allocs N) into
-/// `out`. Returns false (and prints to stderr) on unknown flags.
+/// --max-serve-allocs N) into `out`. Returns false (and prints to stderr)
+/// on unknown flags.
 bool parse_serve_bench_args(int argc, char** argv, ServeBenchOptions& out);
 
 /// Run the benchmark; returns the process exit code (0 = pass).

@@ -124,12 +124,19 @@ bool parse_int(std::string_view s, std::int64_t& out) {
     i = 1;
     if (s.size() == 1) return false;
   }
-  std::int64_t v = 0;
+  // Accumulate the magnitude unsigned and refuse anything past the int64
+  // bound for the sign, so "-9223372036854775808" still parses and no
+  // longer digit string wraps around.
+  const std::uint64_t limit =
+      neg ? std::uint64_t{1} << 63 : (std::uint64_t{1} << 63) - 1;
+  std::uint64_t v = 0;
   for (; i < s.size(); ++i) {
     if (!std::isdigit(static_cast<unsigned char>(s[i]))) return false;
-    v = v * 10 + (s[i] - '0');
+    auto d = static_cast<std::uint64_t>(s[i] - '0');
+    if (v > (limit - d) / 10) return false;
+    v = v * 10 + d;
   }
-  out = neg ? -v : v;
+  out = neg ? static_cast<std::int64_t>(0 - v) : static_cast<std::int64_t>(v);
   return true;
 }
 

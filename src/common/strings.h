@@ -49,7 +49,8 @@ std::string snake_to_camel(std::string_view s);
 /// Replace every occurrence of `from` with `to`.
 std::string replace_all(std::string s, std::string_view from, std::string_view to);
 
-/// Parse a decimal signed integer; returns false on any non-numeric input.
+/// Parse a decimal signed integer; returns false on any non-numeric input
+/// and on values outside int64, leaving `out` unchanged.
 bool parse_int(std::string_view s, std::int64_t& out);
 
 /// Render `n` with `digits` fractional digits (no locale).

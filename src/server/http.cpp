@@ -112,14 +112,6 @@ int connect_loopback(std::uint16_t port) {
 
 }  // namespace
 
-std::optional<HttpRequest> parse_http_request(const std::string& raw) {
-  HttpParser parser;
-  parser.feed(raw);
-  HttpRequest req;
-  if (parser.next(req) != ParseStatus::kRequest) return std::nullopt;
-  return req;
-}
-
 std::string_view status_text(int status) {
   switch (status) {
     case 200: return "OK";
@@ -133,19 +125,6 @@ std::string_view status_text(int status) {
     case 500: return "Internal Server Error";
     default: return "Unknown";
   }
-}
-
-std::string serialize_http_response(const HttpResponse& resp, bool keep_alive) {
-  std::string out = strf("HTTP/1.1 ", resp.status, " ", status_text(resp.status), "\r\n");
-  for (const auto& [k, v] : resp.headers) out += strf(k, ": ", v, "\r\n");
-  out += strf("content-length: ", resp.body.size(), "\r\n");
-  out += keep_alive ? "connection: keep-alive\r\n\r\n" : "connection: close\r\n\r\n";
-  out += resp.body;
-  return out;
-}
-
-std::string serialize_http_response(const HttpResponse& resp) {
-  return serialize_http_response(resp, /*keep_alive=*/false);
 }
 
 void ResponseWriter::begin(int status, bool keep_alive, bool json_body) {
@@ -173,8 +152,8 @@ void ResponseWriter::finish() {
   std::size_t body_len = out_.size() - body_pos_;
   char dbuf[24];
   int digits = std::snprintf(dbuf, sizeof(dbuf), "%zu", body_len);
-  // Backpatch with minimal digits — the wire bytes must match
-  // serialize_http_response exactly, padding included (i.e. none).
+  // Backpatch with minimal digits and no padding; the wire goldens pin
+  // these bytes.
   if (digits > reserved_) {
     out_.insert(cl_pos_, static_cast<std::size_t>(digits - reserved_), '0');
   } else if (digits < reserved_) {
@@ -221,7 +200,7 @@ struct HttpServer::Loop {
   std::unordered_map<int, ConnState> conns;
 };
 
-HttpServer::HttpServer(HttpHandler handler, HttpServerOptions opts)
+HttpServer::HttpServer(WireHandler handler, HttpServerOptions opts)
     : handler_(std::move(handler)), opts_(opts) {}
 
 HttpServer::~HttpServer() { stop(); }
@@ -470,28 +449,21 @@ void HttpServer::handle_conn_event(Loop& loop, int fd, std::uint32_t ev) {
       // below (corking). Views borrowed from the parser stay valid through
       // the handler call because nothing feeds the parser until this loop
       // finishes.
-      bool wire = wire_handler_ != nullptr && opts_.wire_fastpath;
       for (;;) {
-        HttpRequest req;
-        ParseStatus st =
-            wire ? conn.parser.next_view(conn.view) : conn.parser.next(req);
+        ParseStatus st = conn.parser.next_view(conn.view);
         if (st == ParseStatus::kNeedMore) break;
         if (st == ParseStatus::kRequest) {
           ++conn.requests;
           served_.fetch_add(1, std::memory_order_relaxed);
           if (conn.requests > 1) reused_.fetch_add(1, std::memory_order_relaxed);
-          bool keep = (wire ? wants_keep_alive(conn.view) : wants_keep_alive(req)) &&
-                      running_.load(std::memory_order_acquire);
+          bool keep =
+              wants_keep_alive(conn.view) && running_.load(std::memory_order_acquire);
           if (opts_.max_requests_per_conn > 0 &&
               conn.requests >= static_cast<std::uint64_t>(opts_.max_requests_per_conn)) {
             keep = false;
           }
-          if (wire) {
-            ResponseWriter writer(conn.out, conn.cl_hint);
-            wire_handler_(conn.view, keep, writer);
-          } else {
-            conn.out += serialize_http_response(handler_(req), keep);
-          }
+          ResponseWriter writer(conn.out, conn.cl_hint);
+          handler_(conn.view, keep, writer);
           if (opts_.idle_timeout_ms > 0) {
             conn.deadline =
                 Clock::now() + std::chrono::milliseconds(opts_.idle_timeout_ms);
@@ -506,15 +478,10 @@ void HttpServer::handle_conn_event(Loop& loop, int fd, std::uint32_t ev) {
            : status == 413 ? rej413_
                            : rej400_)
               .fetch_add(1, std::memory_order_relaxed);
-          if (wire) {
-            ResponseWriter writer(conn.out, conn.cl_hint);
-            writer.begin(status, /*keep_alive=*/false, /*json_body=*/false);
-            writer.body() += "malformed request";
-            writer.finish();
-          } else {
-            conn.out += serialize_http_response(
-                HttpResponse{status, {}, "malformed request"}, /*keep_alive=*/false);
-          }
+          ResponseWriter writer(conn.out, conn.cl_hint);
+          writer.begin(status, /*keep_alive=*/false, /*json_body=*/false);
+          writer.body() += "malformed request";
+          writer.finish();
           conn.close_after_flush = true;
           break;
         }
@@ -528,15 +495,10 @@ void HttpServer::handle_conn_event(Loop& loop, int fd, std::uint32_t ev) {
     if (conn.parser.buffered() > 0 && conn.pending() == 0) {
       // The peer half-closed mid-request; it can still read the verdict.
       rej400_.fetch_add(1, std::memory_order_relaxed);
-      if (wire_handler_ != nullptr && opts_.wire_fastpath) {
-        ResponseWriter writer(conn.out, conn.cl_hint);
-        writer.begin(400, /*keep_alive=*/false, /*json_body=*/false);
-        writer.body() += "truncated request";
-        writer.finish();
-      } else {
-        conn.out += serialize_http_response(HttpResponse{400, {}, "truncated request"},
-                                            /*keep_alive=*/false);
-      }
+      ResponseWriter writer(conn.out, conn.cl_hint);
+      writer.begin(400, /*keep_alive=*/false, /*json_body=*/false);
+      writer.body() += "truncated request";
+      writer.finish();
     }
     conn.close_after_flush = true;
   }
@@ -614,14 +576,13 @@ bool HttpClient::send_request(const std::string& method, const std::string& path
   return true;
 }
 
-std::optional<HttpResponse> HttpClient::read_response_internal(bool* got_bytes) {
+std::optional<HttpResponse> HttpClient::read_response(bool* got_bytes) {
   if (fd_ < 0) return std::nullopt;
   for (;;) {
     bool malformed = false;
     auto resp = pop_http_response(inbuf_, inpos_, &malformed);
     if (resp) {
-      // Compact once the dead prefix dominates — amortized O(1) per
-      // response even at high pipelining depth.
+      // Compact once the dead prefix dominates.
       if (inpos_ == inbuf_.size()) {
         inbuf_.clear();
         inpos_ = 0;
@@ -635,19 +596,13 @@ std::optional<HttpResponse> HttpClient::read_response_internal(bool* got_bytes) 
     char chunk[4096];
     ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n > 0) {
-      if (got_bytes != nullptr) *got_bytes = true;
+      *got_bytes = true;
       inbuf_.append(chunk, static_cast<std::size_t>(n));
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     return std::nullopt;  // EOF or error
   }
-}
-
-std::optional<HttpResponse> HttpClient::read_response() {
-  auto resp = read_response_internal(nullptr);
-  if (!resp) disconnect();
-  return resp;
 }
 
 std::optional<HttpResponse> HttpClient::request(const std::string& method,
@@ -666,7 +621,7 @@ std::optional<HttpResponse> HttpClient::request(const std::string& method,
       continue;
     }
     bool got_bytes = false;
-    auto resp = read_response_internal(&got_bytes);
+    auto resp = read_response(&got_bytes);
     if (!resp) {
       disconnect();
       if (!fresh && !got_bytes) continue;  // stale keep-alive connection

@@ -20,14 +20,6 @@
 
 namespace lce::server {
 
-struct HttpRequest {
-  std::string method;  // "GET" / "POST"
-  std::string path;    // "/invoke"
-  std::map<std::string, std::string> headers;  // lower-cased keys
-  std::string body;
-  int version_minor = 1;  // HTTP/1.0 vs 1.1 (keep-alive default differs)
-};
-
 struct HttpResponse {
   int status = 200;
   std::map<std::string, std::string> headers;
@@ -47,8 +39,8 @@ struct RequestView {
   std::vector<std::pair<std::string_view, std::string_view>> headers;
   int version_minor = 1;
 
-  /// Last occurrence wins, matching the historical map's duplicate-header
-  /// overwrite; nullptr when absent (distinct from present-but-empty).
+  /// Last occurrence wins; nullptr when absent (distinct from
+  /// present-but-empty).
   const std::string_view* find_header(std::string_view name) const {
     const std::string_view* found = nullptr;
     for (const auto& [k, v] : headers) {
@@ -63,10 +55,9 @@ struct RequestView {
 /// backpatched to minimal digits in finish(). The digit field is reserved
 /// at the connection's predicted width (`cl_width_hint`, fed back after
 /// every response), so a steady stream of similar-sized responses patches
-/// the digits in place without moving a single byte. Byte-identical to
-/// serialize_http_response for the header sets the service emits (none, or
-/// exactly content-type: application/json) — pinned by the differential
-/// suite.
+/// the digits in place without moving a single byte. Every response the
+/// server sends leaves through here; the wire goldens in
+/// tests/server/golden/ pin its bytes.
 class ResponseWriter {
  public:
   ResponseWriter(std::string& out, int& cl_width_hint)
@@ -87,25 +78,10 @@ class ResponseWriter {
   int reserved_ = 0;         // digits reserved at begin()
 };
 
-/// Parse a full HTTP/1.1 request out of `raw` (headers + body). Returns
-/// nullopt on malformed input or when the body is shorter than
-/// Content-Length (callers accumulate and retry). One-shot convenience
-/// over HttpParser (server/http_parser.h), which is the incremental form
-/// the event loop uses.
-std::optional<HttpRequest> parse_http_request(const std::string& raw);
-
-/// Serialize a response with Content-Length and a Connection header
-/// matching `keep_alive`. The one-argument form closes (the historical
-/// contract every one-shot caller relies on).
-std::string serialize_http_response(const HttpResponse& resp, bool keep_alive);
-std::string serialize_http_response(const HttpResponse& resp);
-
 /// Reason phrase for the handful of statuses the service uses.
 std::string_view status_text(int status);
 
-using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
-
-/// Zero-copy handler form: reads the borrowed request, renders the
+/// The server's request handler: reads the borrowed request, renders the
 /// response through the writer (begin/body/finish). `keep_alive` is the
 /// server's verdict (client wish ∩ server policy) and must be passed to
 /// ResponseWriter::begin unchanged.
@@ -126,11 +102,6 @@ struct HttpServerOptions {
   /// Parser limits: oversized headers draw 431, oversized bodies 413.
   std::size_t max_header_bytes = 64 * 1024;
   std::size_t max_body_bytes = 16 * 1024 * 1024;
-  /// Serve through the zero-copy wire path (borrowed request views, arena
-  /// JSON decode, single-buffer rendering) when the service installed a
-  /// wire handler. Off (`--no-wire-fastpath`) falls back to the heap
-  /// HttpRequest/HttpResponse path — the byte-identical reference.
-  bool wire_fastpath = true;
 };
 
 /// Monotonic counters for the life of the server (across start/stop
@@ -158,16 +129,11 @@ struct HttpServerStats {
 /// aborts in-flight connections, and joins — no detached threads survive.
 class HttpServer {
  public:
-  explicit HttpServer(HttpHandler handler, HttpServerOptions opts = {});
+  explicit HttpServer(WireHandler handler, HttpServerOptions opts = {});
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
-
-  /// Install the zero-copy handler; served instead of the HttpHandler when
-  /// opts.wire_fastpath holds. Call before start() — the event loops read
-  /// it unsynchronized.
-  void set_wire_handler(WireHandler handler) { wire_handler_ = std::move(handler); }
 
   /// Returns the bound port, or 0 on failure.
   std::uint16_t start(std::uint16_t port = 0);
@@ -185,8 +151,7 @@ class HttpServer {
   void handle_conn_event(Loop& loop, int fd, std::uint32_t events);
   void reap_idle(Loop& loop);
 
-  HttpHandler handler_;
-  WireHandler wire_handler_;
+  WireHandler handler_;
   HttpServerOptions opts_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -222,15 +187,6 @@ class HttpClient {
                                       const std::string& body = "",
                                       bool keep_alive = true);
 
-  /// Pipelining split of request(): queue a request without waiting, then
-  /// collect responses in order with read_response(). No transparent
-  /// retry — a pipelined caller owns the failure handling (the load
-  /// generator re-dials). Mixing with request() is fine as long as every
-  /// sent request has been read back first.
-  bool send_request(const std::string& method, const std::string& path,
-                    const std::string& body = "", bool keep_alive = true);
-  std::optional<HttpResponse> read_response();
-
   /// Dial now instead of lazily on the first request, so connection setup
   /// happens outside a measured phase. No-op when already connected.
   bool preconnect() { return ensure_connected(); }
@@ -242,14 +198,16 @@ class HttpClient {
 
  private:
   bool ensure_connected();
-  std::optional<HttpResponse> read_response_internal(bool* got_bytes);
+  bool send_request(const std::string& method, const std::string& path,
+                    const std::string& body, bool keep_alive);
+  std::optional<HttpResponse> read_response(bool* got_bytes);
 
   std::uint16_t port_;
   int fd_ = -1;
   int opens_ = 0;
   /// Receive buffer: responses are consumed by advancing `inpos_` and the
-  /// dead prefix is compacted periodically — front-erasing per response is
-  /// quadratic at high pipelining depth.
+  /// dead prefix is compacted periodically instead of front-erased per
+  /// response.
   std::string inbuf_;
   std::size_t inpos_ = 0;
 };

@@ -35,9 +35,8 @@ bool split3_ws(std::string_view s, std::string_view out[3]) {
   return n == 3;
 }
 
-/// Case-insensitive substring search; `needle` must already be lower-case.
-/// Replaces the allocating `contains(to_lower(value), needle)` on the
-/// zero-copy path.
+/// Case-insensitive substring search without allocating; `needle` must
+/// already be lower-case.
 bool contains_icase(std::string_view hay, std::string_view needle) {
   if (hay.size() < needle.size()) return false;
   for (std::size_t i = 0; i + needle.size() <= hay.size(); ++i) {
@@ -173,32 +172,6 @@ ParseStatus HttpParser::next_view(RequestView& out) {
   out.body = std::string_view(buf_).substr(pos, content_length);
   base_ = pos + content_length;
   return ParseStatus::kRequest;
-}
-
-ParseStatus HttpParser::next(HttpRequest& out) {
-  RequestView view;
-  ParseStatus st = next_view(view);
-  if (st != ParseStatus::kRequest) return st;
-  out.method.assign(view.method);
-  out.path.assign(view.path);
-  out.version_minor = view.version_minor;
-  out.headers.clear();
-  for (const auto& [k, v] : view.headers) {
-    // operator[] assignment: duplicate names keep the last occurrence,
-    // exactly like the historical in-loop map insert.
-    out.headers[std::string(k)] = std::string(v);
-  }
-  out.body.assign(view.body);
-  return ParseStatus::kRequest;
-}
-
-bool wants_keep_alive(const HttpRequest& req) {
-  if (auto it = req.headers.find("connection"); it != req.headers.end()) {
-    std::string v = to_lower(it->second);
-    if (contains(v, "close")) return false;
-    if (contains(v, "keep-alive")) return true;
-  }
-  return req.version_minor >= 1;
 }
 
 bool wants_keep_alive(const RequestView& req) {

@@ -14,8 +14,7 @@
 // an offset and reclaimed lazily: feed() compacts the buffer, so every
 // outstanding view is invalidated by the next feed() (or reset()). The
 // event loop honors this by fully handling each request before reading
-// again. next() is the materializing wrapper (owning HttpRequest) for
-// one-shot callers and tests.
+// again; a caller that needs a request past that point copies the views.
 //
 // Framing is Content-Length only (Transfer-Encoding is rejected — the
 // emulator protocol never chunks). Both CRLF and bare-LF line endings are
@@ -62,11 +61,6 @@ class HttpParser {
   /// re-arms the parser for a fresh connection.
   ParseStatus next_view(RequestView& out);
 
-  /// Materializing wrapper over next_view(): same acceptance and statuses,
-  /// copies into an owning HttpRequest (duplicate headers keep the last
-  /// occurrence, matching the historical map behavior).
-  ParseStatus next(HttpRequest& out);
-
   void reset();
 
   /// Bytes buffered but not yet consumed by a completed request — nonzero
@@ -86,7 +80,6 @@ class HttpParser {
 /// HTTP keep-alive negotiation: "Connection: close" always closes,
 /// "Connection: keep-alive" always holds, otherwise HTTP/1.1 defaults to
 /// keep-alive and HTTP/1.0 to close.
-bool wants_keep_alive(const HttpRequest& req);
 bool wants_keep_alive(const RequestView& req);
 
 }  // namespace lce::server

@@ -12,16 +12,12 @@ std::string JsonError::to_text() const {
 
 namespace {
 
-// One scanner, two build modes. `direct` constructs the tree in place via
+// Recursive-descent scanner that constructs the tree in place via
 // Value::set/append with interned keys (arena-backed while an ArenaScope is
-// active); the reference mode goes through the historical Value::Map /
-// Value::List builders. Both modes share every branch of the scanner so
-// acceptance, error offsets, and error messages cannot diverge — the
-// WireFastpathJson suite differences them anyway.
+// active).
 class Parser {
  public:
-  Parser(std::string_view text, JsonError* error, bool direct)
-      : text_(text), error_(error), direct_(direct) {}
+  Parser(std::string_view text, JsonError* error) : text_(text), error_(error) {}
 
   std::optional<Value> run() {
     auto v = value();
@@ -160,12 +156,10 @@ class Parser {
     char c = text_[pos_];
     if (c == '{') {
       ++pos_;
-      // Duplicate keys: last one wins in both modes (std::map assignment
-      // vs Value::set overwrite).
-      Value direct = Value::empty_map();
-      Value::Map map;
+      // Duplicate keys: last one wins (Value::set overwrites).
+      Value map = Value::empty_map();
       skip_ws();
-      if (consume('}')) return direct_ ? std::move(direct) : Value(std::move(map));
+      if (consume('}')) return map;
       while (true) {
         skip_ws();
         if (!consume('"')) {
@@ -174,49 +168,32 @@ class Parser {
         }
         std::string_view key_view;
         if (!string_body(key_view)) return std::nullopt;
-        // Pin the key before the value parse reuses scratch_. The direct
-        // mode interns it (the heap builder interns the same spelling when
-        // Value(Map) converts, so the table sees identical traffic).
-        KeyId key_id = kNoKey;
-        std::string key;
-        if (direct_) {
-          key_id = intern_key(key_view);
-        } else {
-          key.assign(key_view);
-        }
+        // Intern the key before the value parse reuses scratch_.
+        KeyId key_id = intern_key(key_view);
         if (!consume(':')) {
           fail("expected ':'");
           return std::nullopt;
         }
         auto v = value();
         if (!v) return std::nullopt;
-        if (direct_) {
-          direct.set(key_id, std::move(*v));
-        } else {
-          map[std::move(key)] = std::move(*v);
-        }
+        map.set(key_id, std::move(*v));
         if (consume(',')) continue;
-        if (consume('}')) return direct_ ? std::move(direct) : Value(std::move(map));
+        if (consume('}')) return map;
         fail("expected ',' or '}'");
         return std::nullopt;
       }
     }
     if (c == '[') {
       ++pos_;
-      Value direct = Value::empty_list();
-      Value::List list;
+      Value list = Value::empty_list();
       skip_ws();
-      if (consume(']')) return direct_ ? std::move(direct) : Value(std::move(list));
+      if (consume(']')) return list;
       while (true) {
         auto v = value();
         if (!v) return std::nullopt;
-        if (direct_) {
-          direct.append(std::move(*v));
-        } else {
-          list.push_back(std::move(*v));
-        }
+        list.append(std::move(*v));
         if (consume(',')) continue;
-        if (consume(']')) return direct_ ? std::move(direct) : Value(std::move(list));
+        if (consume(']')) return list;
         fail("expected ',' or ']'");
         return std::nullopt;
       }
@@ -255,7 +232,6 @@ class Parser {
   std::string_view text_;
   JsonError* error_;
   std::size_t pos_ = 0;
-  bool direct_;
   std::string scratch_;  // decoded bytes of the last escaped string
 };
 
@@ -318,11 +294,7 @@ void serialize(const Value& v, std::string& out) {
 }  // namespace
 
 std::optional<Value> parse_json(std::string_view text, JsonError* error) {
-  return Parser(text, error, /*direct=*/true).run();
-}
-
-std::optional<Value> parse_json_reference(std::string_view text, JsonError* error) {
-  return Parser(text, error, /*direct=*/false).run();
+  return Parser(text, error).run();
 }
 
 std::string to_json(const Value& v) {

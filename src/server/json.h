@@ -3,19 +3,11 @@
 // strings (the way real cloud APIs put ids on the wire); the service layer
 // re-tags strings shaped like resource ids (see service.h).
 //
-// Two decoders share one scanner (identical acceptance, error offsets and
-// messages — pinned by the WireFastpathJson differential suite):
-//
-//   parse_json            builds the tree directly via Value::set/append
-//                         with KeyTable-interned object keys. While an
-//                         ArenaScope is active every rep block comes from
-//                         the request arena, so steady-state decode does
-//                         zero heap allocations (DESIGN.md "Wire fast
-//                         path"). This is the serving path.
-//   parse_json_reference  the historical builder path (Value::Map /
-//                         Value::List, std::string keys) — the oracle the
-//                         fast decoder is differenced against, and the
-//                         decoder behind --no-wire-fastpath.
+// parse_json builds the tree directly via Value::set/append with
+// KeyTable-interned object keys. While an ArenaScope is active every rep
+// block comes from the request arena, so steady-state decode does zero
+// heap allocations (DESIGN.md "Wire fast path"). Acceptance, error offsets
+// and messages are pinned by the WireFastpathJson goldens.
 #pragma once
 
 #include <optional>
@@ -37,11 +29,6 @@ struct JsonError {
 /// grammar except non-integer numbers, which are rejected (the cloud API
 /// surface is integer-only). Arena-aware: see the header comment.
 std::optional<Value> parse_json(std::string_view text, JsonError* error = nullptr);
-
-/// The historical builder-based decoder; byte-identical semantics to
-/// parse_json, always heap-owning construction forms.
-std::optional<Value> parse_json_reference(std::string_view text,
-                                          JsonError* error = nullptr);
 
 /// Serialize a Value as compact JSON. Refs become plain strings.
 std::string to_json(const Value& v);

@@ -15,10 +15,9 @@ namespace lce::server {
 namespace {
 
 /// Route-core result: every emulator route answers a status plus a JSON
-/// Value. Rendering happens in the caller — the heap path serializes into
-/// an HttpResponse, the wire path appends straight into the connection's
-/// output buffer — so both paths share one routing brain and stay
-/// byte-identical by construction.
+/// Value. Rendering happens in the caller: the endpoint's wire handler
+/// appends straight into the connection's output buffer, and
+/// handle_emulator_request into an HttpResponse body.
 struct RouteReply {
   int status = 200;
   Value body;
@@ -49,22 +48,16 @@ Value server_stats_value(const HttpServerStats& s) {
   return m;
 }
 
-/// The routing brain behind both handler forms. `fast_decode` selects the
-/// arena/direct JSON decoder (the serving path) vs the historical builder
-/// (the --no-wire-fastpath reference); both accept the same texts with the
-/// same errors. Backend and persist calls run under ArenaPause so any
-/// Value a layer retains (trace records, read-cache entries, store writes)
-/// lands on the heap even when the wire path has a request arena active —
-/// the request's own scratch (decoded doc, response body) stays
-/// arena-backed and dies with the returned RouteReply.
+/// The routing brain behind the wire handler and handle_emulator_request.
+/// Backend and persist calls run under ArenaPause so any Value a layer
+/// retains (trace records, read-cache entries, store writes) lands on the
+/// heap even when the wire handler has a request arena active — the
+/// request's own scratch (decoded doc, response body) stays arena-backed
+/// and dies with the returned RouteReply.
 RouteReply route_emulator_request(CloudBackend& backend, std::string_view method,
                                   std::string_view path, std::string_view body,
                                   persist::PersistManager* persist,
-                                  const HttpServer* server, bool virtual_time,
-                                  bool fast_decode) {
-  auto parse_body = [&](JsonError* jerr) {
-    return fast_decode ? parse_json(body, jerr) : parse_json_reference(body, jerr);
-  };
+                                  const HttpServer* server, bool virtual_time) {
   auto* layered = dynamic_cast<stack::LayerStack*>(&backend);
   if (path == "/admin/tick") {
     if (!virtual_time) {
@@ -79,7 +72,7 @@ RouteReply route_emulator_request(CloudBackend& backend, std::string_view method
     std::int64_t ticks = 1;
     if (!body.empty()) {
       JsonError jerr;
-      auto doc = parse_body(&jerr);
+      auto doc = parse_json(body, &jerr);
       if (!doc || !doc->is_map()) {
         return error_reply(400, "MalformedRequest",
                            doc ? "request body must be a JSON object" : jerr.to_text());
@@ -195,7 +188,7 @@ RouteReply route_emulator_request(CloudBackend& backend, std::string_view method
   }
   if (method == "POST" && path == "/invoke") {
     JsonError jerr;
-    auto doc = parse_body(&jerr);
+    auto doc = parse_json(body, &jerr);
     if (!doc || !doc->is_map()) {
       return error_reply(400, "MalformedRequest",
                          doc ? "request body must be a JSON object" : jerr.to_text());
@@ -238,16 +231,16 @@ RouteReply route_emulator_request(CloudBackend& backend, std::string_view method
 
 }  // namespace
 
-HttpResponse handle_emulator_request(CloudBackend& backend, const HttpRequest& req,
+HttpResponse handle_emulator_request(CloudBackend& backend, std::string_view method,
+                                     std::string_view path, std::string_view body,
                                      persist::PersistManager* persist,
                                      const HttpServer* server, bool virtual_time) {
   RouteReply reply =
-      route_emulator_request(backend, req.method, req.path, req.body, persist, server,
-                             virtual_time, /*fast_decode=*/false);
+      route_emulator_request(backend, method, path, body, persist, server, virtual_time);
   HttpResponse resp;
   resp.status = reply.status;
   resp.headers["content-type"] = "application/json";
-  resp.body = to_json(reply.body);
+  append_json(reply.body, resp.body);
   return resp;
 }
 
@@ -271,31 +264,24 @@ EmulatorEndpoint::EmulatorEndpoint(CloudBackend& backend, stack::StackConfig con
     : stack_(stack::build_stack(backend, with_journal(std::move(config), persist))),
       persist_(persist),
       virtual_time_(virtual_time),
+      // Route under a per-io-thread request arena, render head + JSON body
+      // straight into the connection's output buffer. The RouteReply must
+      // die before the arena rewinds — hence the inner scope.
       server_(
-          [this](const HttpRequest& req) {
-            return handle_emulator_request(stack_, req, persist_, &server_,
-                                           virtual_time_);
+          [this](const RequestView& req, bool keep_alive, ResponseWriter& writer) {
+            static thread_local Arena arena;
+            {
+              ArenaScope scope(arena);
+              RouteReply reply = route_emulator_request(
+                  stack_, req.method, req.path, req.body, persist_, &server_,
+                  virtual_time_);
+              writer.begin(reply.status, keep_alive, /*json_body=*/true);
+              append_json(reply.body, writer.body());
+              writer.finish();
+            }
+            arena.reset();
           },
-          http) {
-  // Zero-copy serving path (gated at runtime by http.wire_fastpath): route
-  // under a per-io-thread request arena, render head + JSON body straight
-  // into the connection's output buffer. The RouteReply must die before
-  // the arena rewinds — hence the inner scope.
-  server_.set_wire_handler(
-      [this](const RequestView& req, bool keep_alive, ResponseWriter& writer) {
-        static thread_local Arena arena;
-        {
-          ArenaScope scope(arena);
-          RouteReply reply =
-              route_emulator_request(stack_, req.method, req.path, req.body, persist_,
-                                     &server_, virtual_time_, /*fast_decode=*/true);
-          writer.begin(reply.status, keep_alive, /*json_body=*/true);
-          append_json(reply.body, writer.body());
-          writer.finish();
-        }
-        arena.reset();
-      });
-}
+          http) {}
 
 std::uint16_t EmulatorEndpoint::start(std::uint16_t port) { return server_.start(port); }
 
@@ -343,18 +329,6 @@ ApiResponse invoke_over_client(HttpClient& client, const std::string& action,
                                const Value::Map& params, bool keep_alive) {
   auto resp = client.request("POST", "/invoke", invoke_request_body(action, params),
                              keep_alive);
-  if (!resp) return ApiResponse::failure("TransportError", "no response from endpoint");
-  return decode_invoke_response(*resp);
-}
-
-bool send_invoke(HttpClient& client, const std::string& action,
-                 const Value::Map& params, bool keep_alive) {
-  return client.send_request("POST", "/invoke", invoke_request_body(action, params),
-                             keep_alive);
-}
-
-ApiResponse read_invoke_response(HttpClient& client) {
-  auto resp = client.read_response();
   if (!resp) return ApiResponse::failure("TransportError", "no response from endpoint");
   return decode_invoke_response(*resp);
 }

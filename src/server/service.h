@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/api.h"
 #include "server/http.h"
@@ -37,17 +38,20 @@ namespace lce::server {
 /// (ids travel as plain JSON strings and are re-tagged before dispatch).
 using stack::looks_like_resource_id;
 
-/// Translate one HTTP request into a backend call (exposed separately so
-/// tests can exercise routing without sockets). When `backend` is a
-/// stack::LayerStack the chain-aware endpoints (/metrics, the /health
-/// "layers" field) light up. `persist` (may be null) serves the
-/// /admin/snapshot and /admin/persist durability routes. `server` (may be
+/// Translate one HTTP request into a backend call without a socket: the
+/// same routing, JSON decoder and JSON renderer the endpoint serves
+/// through, with the rendered body returned in an HttpResponse (tests use
+/// it to exercise routing). When `backend` is a stack::LayerStack the
+/// chain-aware endpoints (/metrics, the /health "layers" field) light up.
+/// `persist` (may be null) serves the /admin/snapshot and /admin/persist
+/// durability routes. `server` (may be
 /// null) adds the front-end counters — accepted connections, keep-alive
 /// reuses, reaps, rejections — under "server" in the /metrics body.
 /// `virtual_time` lights up POST /admin/tick ({"Ticks": N}, default 1),
 /// which pushes an _AdvanceClock call through the stack so the journal
 /// logs the advance like any other write.
-HttpResponse handle_emulator_request(CloudBackend& backend, const HttpRequest& req,
+HttpResponse handle_emulator_request(CloudBackend& backend, std::string_view method,
+                                     std::string_view path, std::string_view body,
                                      persist::PersistManager* persist = nullptr,
                                      const HttpServer* server = nullptr,
                                      bool virtual_time = false);
@@ -99,13 +103,5 @@ ApiResponse invoke_over_http(std::uint16_t port, const std::string& action,
 /// fast path, where one TCP connection carries the whole request stream.
 ApiResponse invoke_over_client(HttpClient& client, const std::string& action,
                                const Value::Map& params, bool keep_alive = true);
-
-/// Pipelining split of invoke_over_client: queue the invoke without
-/// waiting, then collect replies in order. The load generator keeps a
-/// window of these in flight per connection so the server's corked
-/// single-write drain actually gets bursts to cork.
-bool send_invoke(HttpClient& client, const std::string& action,
-                 const Value::Map& params, bool keep_alive = true);
-ApiResponse read_invoke_response(HttpClient& client);
 
 }  // namespace lce::server

@@ -7,19 +7,18 @@
 // still fails here.
 //
 // On a mismatch the actual text is written to <golden name>.actual in the
-// test's working directory. Copy it over the golden only when the change
-// in behaviour is intended.
+// test's working directory (tests/common/golden.h). Copy it over the
+// golden only when the change in behaviour is intended.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
 
 #include "align/engine.h"
 #include "align/trace_gen.h"
 #include "cloud/reference_cloud.h"
+#include "common/golden.h"
 #include "common/strings.h"
 #include "core/emulator.h"
 #include "docs/corpus.h"
@@ -44,20 +43,8 @@ core::LearnedEmulator learn_align_emulator() {
   return core::LearnedEmulator::from_docs(docs::render_corpus(defective), popts);
 }
 
-std::string read_golden(const std::string& name) {
-  std::ifstream in(std::string(LCE_ALIGN_GOLDEN_DIR) + "/" + name);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 void expect_golden(const std::string& name, const std::string& actual) {
-  std::string want = read_golden(name);
-  if (actual == want) return;
-  std::ofstream(name + ".actual") << actual;
-  ADD_FAILURE() << "output differs from golden " << name << " (" << actual.size()
-                << " vs " << want.size() << " bytes); actual written to " << name
-                << ".actual";
+  lce::testing::expect_golden(LCE_ALIGN_GOLDEN_DIR, name, actual);
 }
 
 std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {

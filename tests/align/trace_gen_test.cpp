@@ -281,6 +281,9 @@ void expect_identical_at_every_worker_count(const spec::SpecSet& spec) {
   TraceGenerator serial(spec);
   std::string want = corpus_text(serial.generate_all(1), serial.stats());
   ASSERT_GT(serial.stats().classes_concretized, 100u);
+  // Each class is counted once: it is either concretized or skipped.
+  EXPECT_EQ(serial.stats().classes_total,
+            serial.stats().classes_concretized + serial.stats().skipped.size());
   for (int workers : {2, 4, 0}) {
     SCOPED_TRACE(workers);
     TraceGenerator gen(spec);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace lce {
 namespace {
 
@@ -74,6 +77,21 @@ TEST(Strings, ParseIntAcceptsSigns) {
   EXPECT_FALSE(parse_int("", v));
   EXPECT_FALSE(parse_int("4x", v));
   EXPECT_FALSE(parse_int("-", v));
+}
+
+TEST(Strings, ParseIntRejectsOverflow) {
+  std::int64_t v = 0;
+  EXPECT_TRUE(parse_int("9223372036854775807", v));
+  EXPECT_EQ(v, std::numeric_limits<std::int64_t>::max());
+  EXPECT_TRUE(parse_int("-9223372036854775808", v));
+  EXPECT_EQ(v, std::numeric_limits<std::int64_t>::min());
+  // One past each bound is refused and leaves the prior value in place.
+  v = 5;
+  EXPECT_FALSE(parse_int("9223372036854775808", v));
+  EXPECT_FALSE(parse_int("-9223372036854775809", v));
+  EXPECT_FALSE(parse_int("18446744073709551615", v));
+  EXPECT_FALSE(parse_int("99999999999999999999", v));
+  EXPECT_EQ(v, 5);
 }
 
 TEST(Strings, FixedFormatsDigits) {

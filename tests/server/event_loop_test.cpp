@@ -25,10 +25,10 @@ namespace {
 
 using testing::RawClient;
 
-HttpResponse echo_handler(const HttpRequest& req) {
-  HttpResponse resp;
-  resp.body = req.path;
-  return resp;
+void echo_handler(const RequestView& req, bool keep_alive, ResponseWriter& writer) {
+  writer.begin(200, keep_alive, /*json_body=*/false);
+  writer.body() += req.path;
+  writer.finish();
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,19 +33,46 @@ const char kPost[] =
     "\r\n"
     "{\"a\":\"b\"}!!";
 
+/// Owning copy of one parsed request, so requests can be collected across
+/// feed() calls (which invalidate the views). Duplicate header names keep
+/// the last occurrence, like RequestView::find_header.
+struct OwnedRequest {
+  std::string method;
+  std::string path;
+  std::map<std::string, std::string> headers;
+  std::string body;
+  int version_minor = 1;
+};
+
+OwnedRequest own(const RequestView& view) {
+  OwnedRequest out;
+  out.method.assign(view.method);
+  out.path.assign(view.path);
+  for (const auto& [k, v] : view.headers) out.headers[std::string(k)] = std::string(v);
+  out.body.assign(view.body);
+  out.version_minor = view.version_minor;
+  return out;
+}
+
+/// Value of header `name`, or "<absent>".
+std::string_view header(const RequestView& req, std::string_view name) {
+  const std::string_view* v = req.find_header(name);
+  return v != nullptr ? *v : "<absent>";
+}
+
 /// Pop every complete request, then return the terminal status.
 struct DrainResult {
-  std::vector<HttpRequest> requests;
+  std::vector<OwnedRequest> requests;
   ParseStatus terminal = ParseStatus::kNeedMore;
 };
 
 DrainResult drain(HttpParser& parser) {
   DrainResult out;
   for (;;) {
-    HttpRequest req;
-    ParseStatus st = parser.next(req);
+    RequestView req;
+    ParseStatus st = parser.next_view(req);
     if (st == ParseStatus::kRequest) {
-      out.requests.push_back(std::move(req));
+      out.requests.push_back(own(req));
       continue;
     }
     out.terminal = st;
@@ -51,7 +80,7 @@ DrainResult drain(HttpParser& parser) {
   }
 }
 
-void expect_same_request(const HttpRequest& a, const HttpRequest& b) {
+void expect_same_request(const OwnedRequest& a, const OwnedRequest& b) {
   EXPECT_EQ(a.method, b.method);
   EXPECT_EQ(a.path, b.path);
   EXPECT_EQ(a.version_minor, b.version_minor);
@@ -62,16 +91,16 @@ void expect_same_request(const HttpRequest& a, const HttpRequest& b) {
 TEST(HttpParserTorture, ByteAtATimeYieldsTheSameRequest) {
   HttpParser parser;
   std::string raw = kPost;
-  HttpRequest req;
+  RequestView req;
   for (std::size_t i = 0; i + 1 < raw.size(); ++i) {
     parser.feed({&raw[i], 1});
-    EXPECT_EQ(parser.next(req), ParseStatus::kNeedMore) << "at byte " << i;
+    EXPECT_EQ(parser.next_view(req), ParseStatus::kNeedMore) << "at byte " << i;
   }
   parser.feed({&raw[raw.size() - 1], 1});
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(parser.next_view(req), ParseStatus::kRequest);
   EXPECT_EQ(req.method, "POST");
   EXPECT_EQ(req.path, "/invoke");
-  EXPECT_EQ(req.headers.at("content-type"), "application/json");
+  EXPECT_EQ(header(req, "content-type"), "application/json");
   EXPECT_EQ(req.body, "{\"a\":\"b\"}!!");
 }
 
@@ -104,62 +133,96 @@ TEST(HttpParserTorture, RandomSplitsMatchOneShotParse) {
   }
 }
 
+TEST(HttpParserTorture, DuplicateHeaderLastWinsUnderFragmentation) {
+  // Two pipelined requests fed in 1-byte, 3-byte and whole-stream chunks:
+  // names are lower-cased in place, and the duplicate's LAST value wins.
+  const std::string raw =
+      "POST /invoke HTTP/1.1\r\nHost: x\r\nX-Dup: first\r\n"
+      "Content-Length: 4\r\nX-DUP: last\r\n\r\nbody"
+      "GET /health HTTP/1.0\r\n\r\n";
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, raw.size()}) {
+    SCOPED_TRACE(chunk);
+    HttpParser parser;
+    std::vector<OwnedRequest> got;
+    for (std::size_t off = 0; off < raw.size(); off += chunk) {
+      parser.feed(std::string_view(raw).substr(off, chunk));
+      RequestView view;
+      ParseStatus st;
+      while ((st = parser.next_view(view)) == ParseStatus::kRequest) {
+        for (const auto& [name, value] : view.headers) {
+          EXPECT_EQ(std::string(name), to_lower(std::string(name)));
+        }
+        if (view.method == "POST") {
+          EXPECT_EQ(header(view, "x-dup"), "last");
+        }
+        got.push_back(own(view));  // before the next feed() invalidates it
+      }
+      ASSERT_EQ(st, ParseStatus::kNeedMore);
+    }
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].method, "POST");
+    EXPECT_EQ(got[0].body, "body");
+    EXPECT_EQ(got[1].method, "GET");
+    EXPECT_EQ(got[1].version_minor, 0);
+  }
+}
+
 TEST(HttpParserTorture, PipelinedRequestsPopInOrder) {
   HttpParser parser;
   parser.feed(
       "GET /a HTTP/1.1\r\n\r\n"
       "POST /b HTTP/1.1\r\ncontent-length: 3\r\n\r\nxyz"
       "GET /c HTTP/1.1\r\n\r\n");
-  HttpRequest req;
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  RequestView req;
+  ASSERT_EQ(parser.next_view(req), ParseStatus::kRequest);
   EXPECT_EQ(req.path, "/a");
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(parser.next_view(req), ParseStatus::kRequest);
   EXPECT_EQ(req.path, "/b");
   EXPECT_EQ(req.body, "xyz");
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(parser.next_view(req), ParseStatus::kRequest);
   EXPECT_EQ(req.path, "/c");
-  EXPECT_EQ(parser.next(req), ParseStatus::kNeedMore);
+  EXPECT_EQ(parser.next_view(req), ParseStatus::kNeedMore);
   EXPECT_EQ(parser.buffered(), 0u);
 }
 
 TEST(HttpParserTorture, BareLfAndMixedLineEndingsAccepted) {
   HttpParser parser;
   parser.feed("GET /health HTTP/1.1\nHost: x\ncontent-length: 2\n\nok");
-  HttpRequest req;
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  RequestView req;
+  ASSERT_EQ(parser.next_view(req), ParseStatus::kRequest);
   EXPECT_EQ(req.path, "/health");
   EXPECT_EQ(req.body, "ok");
 
   HttpParser mixed;
   mixed.feed("GET / HTTP/1.1\r\nA: 1\nB: 2\r\n\n");
-  ASSERT_EQ(mixed.next(req), ParseStatus::kRequest);
-  EXPECT_EQ(req.headers.at("a"), "1");
-  EXPECT_EQ(req.headers.at("b"), "2");
+  ASSERT_EQ(mixed.next_view(req), ParseStatus::kRequest);
+  EXPECT_EQ(header(req, "a"), "1");
+  EXPECT_EQ(header(req, "b"), "2");
 }
 
 TEST(HttpParserTorture, HeaderNamesLowercasedValuesTrimmed) {
   HttpParser parser;
   parser.feed("GET / HTTP/1.1\r\nX-CuStOm-HeAdEr:    spaced value  \r\n\r\n");
-  HttpRequest req;
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
-  EXPECT_EQ(req.headers.at("x-custom-header"), "spaced value");
+  RequestView req;
+  ASSERT_EQ(parser.next_view(req), ParseStatus::kRequest);
+  EXPECT_EQ(header(req, "x-custom-header"), "spaced value");
 }
 
 TEST(HttpParserTorture, LeadingBlankLinesBeforeRequestSkipped) {
   HttpParser parser;
   parser.feed("\r\n\r\n\nGET /x HTTP/1.1\r\n\r\n");
-  HttpRequest req;
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  RequestView req;
+  ASSERT_EQ(parser.next_view(req), ParseStatus::kRequest);
   EXPECT_EQ(req.path, "/x");
 }
 
 TEST(HttpParserTorture, Http10VersionCaptured) {
   HttpParser parser;
   parser.feed("GET / HTTP/1.0\r\n\r\nGET / HTTP/1.1\r\n\r\n");
-  HttpRequest req;
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  RequestView req;
+  ASSERT_EQ(parser.next_view(req), ParseStatus::kRequest);
   EXPECT_EQ(req.version_minor, 0);
-  ASSERT_EQ(parser.next(req), ParseStatus::kRequest);
+  ASSERT_EQ(parser.next_view(req), ParseStatus::kRequest);
   EXPECT_EQ(req.version_minor, 1);
 }
 
@@ -179,46 +242,46 @@ TEST(HttpParserTorture, MalformedInputsDrawBadRequest) {
   for (const char* raw : cases) {
     HttpParser parser;
     parser.feed(raw);
-    HttpRequest req;
-    EXPECT_EQ(parser.next(req), ParseStatus::kBadRequest) << raw;
+    RequestView req;
+    EXPECT_EQ(parser.next_view(req), ParseStatus::kBadRequest) << raw;
     // Sticky: feeding a valid request afterwards cannot resurrect it.
     parser.feed(kPost);
-    EXPECT_EQ(parser.next(req), ParseStatus::kBadRequest) << raw;
+    EXPECT_EQ(parser.next_view(req), ParseStatus::kBadRequest) << raw;
   }
 }
 
 TEST(HttpParserTorture, OversizedHeadersRejectedEvenWhileIncomplete) {
   HttpParser parser(ParserLimits{64, 1024});
   parser.feed("GET / HTTP/1.1\r\nX-Pad: ");
-  HttpRequest req;
-  EXPECT_EQ(parser.next(req), ParseStatus::kNeedMore);
+  RequestView req;
+  EXPECT_EQ(parser.next_view(req), ParseStatus::kNeedMore);
   parser.feed(std::string(200, 'a'));  // never terminates the header block
-  EXPECT_EQ(parser.next(req), ParseStatus::kHeadersTooLarge);
+  EXPECT_EQ(parser.next_view(req), ParseStatus::kHeadersTooLarge);
 }
 
 TEST(HttpParserTorture, OversizedBodyRejectedFromDeclaredLength) {
   HttpParser parser(ParserLimits{1024, 8});
   parser.feed("POST / HTTP/1.1\r\ncontent-length: 9\r\n\r\n");
-  HttpRequest req;
+  RequestView req;
   // Rejected on the declared length alone — no body bytes needed.
-  EXPECT_EQ(parser.next(req), ParseStatus::kBodyTooLarge);
+  EXPECT_EQ(parser.next_view(req), ParseStatus::kBodyTooLarge);
 }
 
 TEST(HttpParserTorture, ResetReArmsAfterError) {
   HttpParser parser;
   parser.feed("garbage\r\n\r\n");
-  HttpRequest req;
-  EXPECT_EQ(parser.next(req), ParseStatus::kBadRequest);
+  RequestView req;
+  EXPECT_EQ(parser.next_view(req), ParseStatus::kBadRequest);
   parser.reset();
   parser.feed(kPost);
-  EXPECT_EQ(parser.next(req), ParseStatus::kRequest);
+  EXPECT_EQ(parser.next_view(req), ParseStatus::kRequest);
 }
 
 TEST(HttpParserTorture, KeepAliveNegotiation) {
   auto req_with = [](int minor, const char* connection) {
-    HttpRequest req;
+    RequestView req;
     req.version_minor = minor;
-    if (connection != nullptr) req.headers["connection"] = connection;
+    if (connection != nullptr) req.headers.emplace_back("connection", connection);
     return req;
   };
   EXPECT_TRUE(wants_keep_alive(req_with(1, nullptr)));         // 1.1 default
@@ -313,10 +376,10 @@ class HttpTorture : public ::testing::Test {
   /// ORDER is observable.
   HttpServer make_server(HttpServerOptions o) {
     return HttpServer(
-        [](const HttpRequest& req) {
-          HttpResponse resp;
-          resp.body = req.method + " " + req.path + " [" + req.body + "]";
-          return resp;
+        [](const RequestView& req, bool keep_alive, ResponseWriter& writer) {
+          writer.begin(200, keep_alive, /*json_body=*/false);
+          writer.body() += strf(req.method, " ", req.path, " [", req.body, "]");
+          writer.finish();
         },
         o);
   }

@@ -2,8 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+
+#include "common/strings.h"
+#include "server/http_parser.h"
+
 namespace lce::server {
 namespace {
+
+/// One-shot parse: the first complete request in `raw`, or nullopt when it
+/// is malformed or incomplete. The view borrows `parser`'s buffer.
+std::optional<RequestView> parse_one(HttpParser& parser, std::string_view raw) {
+  parser.feed(raw);
+  RequestView view;
+  if (parser.next_view(view) != ParseStatus::kRequest) return std::nullopt;
+  return view;
+}
+
+bool rejects(std::string_view raw) {
+  HttpParser parser;
+  return !parse_one(parser, raw).has_value();
+}
+
+/// Answer 200 with `body` and no content-type.
+void reply(ResponseWriter& writer, bool keep_alive, std::string_view body) {
+  writer.begin(200, keep_alive, /*json_body=*/false);
+  writer.body() += body;
+  writer.finish();
+}
 
 TEST(HttpParse, BasicPostWithBody) {
   std::string raw =
@@ -13,41 +41,48 @@ TEST(HttpParse, BasicPostWithBody) {
       "Content-Length: 11\r\n"
       "\r\n"
       "{\"a\":\"b\"}!!";
-  auto req = parse_http_request(raw);
+  HttpParser parser;
+  auto req = parse_one(parser, raw);
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->method, "POST");
   EXPECT_EQ(req->path, "/invoke");
-  EXPECT_EQ(req->headers.at("content-type"), "application/json");
+  ASSERT_NE(req->find_header("content-type"), nullptr);
+  EXPECT_EQ(*req->find_header("content-type"), "application/json");
   EXPECT_EQ(req->body, "{\"a\":\"b\"}!!");
 }
 
 TEST(HttpParse, GetWithoutBody) {
-  auto req = parse_http_request("GET /health HTTP/1.1\r\nhost: x\r\n\r\n");
+  HttpParser parser;
+  auto req = parse_one(parser, "GET /health HTTP/1.1\r\nhost: x\r\n\r\n");
   ASSERT_TRUE(req);
   EXPECT_EQ(req->method, "GET");
   EXPECT_TRUE(req->body.empty());
 }
 
 TEST(HttpParse, HeaderKeysLowercased) {
-  auto req = parse_http_request("GET / HTTP/1.1\r\nX-CuStOm: V\r\n\r\n");
+  HttpParser parser;
+  auto req = parse_one(parser, "GET / HTTP/1.1\r\nX-CuStOm: V\r\n\r\n");
   ASSERT_TRUE(req);
-  EXPECT_EQ(req->headers.at("x-custom"), "V");
+  ASSERT_NE(req->find_header("x-custom"), nullptr);
+  EXPECT_EQ(*req->find_header("x-custom"), "V");
 }
 
 TEST(HttpParse, RejectsMalformed) {
-  EXPECT_FALSE(parse_http_request("").has_value());
-  EXPECT_FALSE(parse_http_request("GET /\r\n\r\n").has_value());          // no version
-  EXPECT_FALSE(parse_http_request("GET / SPDY/9\r\n\r\n").has_value());   // bad proto
-  EXPECT_FALSE(parse_http_request("GET / HTTP/1.1\r\nbadheader\r\n\r\n").has_value());
+  EXPECT_TRUE(rejects(""));
+  EXPECT_TRUE(rejects("GET /\r\n\r\n"));          // no version
+  EXPECT_TRUE(rejects("GET / SPDY/9\r\n\r\n"));   // bad proto
+  EXPECT_TRUE(rejects("GET / HTTP/1.1\r\nbadheader\r\n\r\n"));
   // Body shorter than Content-Length -> incomplete.
-  EXPECT_FALSE(parse_http_request(
-                   "POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc")
-                   .has_value());
+  EXPECT_TRUE(rejects("POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc"));
 }
 
 TEST(HttpSerialize, ResponseCarriesLengthAndStatus) {
-  HttpResponse resp{200, {{"content-type", "application/json"}}, "{\"x\":1}"};
-  std::string raw = serialize_http_response(resp);
+  std::string raw;
+  int hint = 3;
+  ResponseWriter writer(raw, hint);
+  writer.begin(200, /*keep_alive=*/false, /*json_body=*/true);
+  writer.body() += "{\"x\":1}";
+  writer.finish();
   EXPECT_NE(raw.find("HTTP/1.1 200 OK\r\n"), std::string::npos);
   EXPECT_NE(raw.find("content-length: 7\r\n"), std::string::npos);
   EXPECT_NE(raw.find("\r\n\r\n{\"x\":1}"), std::string::npos);
@@ -55,10 +90,8 @@ TEST(HttpSerialize, ResponseCarriesLengthAndStatus) {
 }
 
 TEST(HttpServer, ServesOverLoopback) {
-  HttpServer server([](const HttpRequest& req) {
-    HttpResponse resp;
-    resp.body = "echo:" + req.body + " path:" + req.path;
-    return resp;
+  HttpServer server([](const RequestView& req, bool keep_alive, ResponseWriter& writer) {
+    reply(writer, keep_alive, strf("echo:", req.body, " path:", req.path));
   });
   std::uint16_t port = server.start();
   ASSERT_NE(port, 0);
@@ -72,10 +105,8 @@ TEST(HttpServer, ServesOverLoopback) {
 
 TEST(HttpServer, SequentialRequests) {
   int count = 0;
-  HttpServer server([&](const HttpRequest&) {
-    HttpResponse resp;
-    resp.body = std::to_string(++count);
-    return resp;
+  HttpServer server([&](const RequestView&, bool keep_alive, ResponseWriter& writer) {
+    reply(writer, keep_alive, std::to_string(++count));
   });
   std::uint16_t port = server.start();
   ASSERT_NE(port, 0);
@@ -88,7 +119,9 @@ TEST(HttpServer, SequentialRequests) {
 }
 
 TEST(HttpServer, StopIsIdempotentAndRestartable) {
-  HttpServer server([](const HttpRequest&) { return HttpResponse{}; });
+  HttpServer server([](const RequestView&, bool keep_alive, ResponseWriter& writer) {
+    reply(writer, keep_alive, "");
+  });
   ASSERT_NE(server.start(), 0);
   server.stop();
   server.stop();  // no-op

@@ -125,10 +125,11 @@ class RawClient {
     }
   }
 
-  /// Complete responses in `raw`, walking status line -> content-length ->
-  /// body, so bodies containing "HTTP/1.1" cannot inflate the count.
-  static int count_responses(const std::string& raw) {
-    int count = 0;
+  /// Each complete response in `raw`, in order, walking status line ->
+  /// content-length -> body, so bodies containing "HTTP/1.1" cannot split
+  /// a response. A trailing incomplete response is dropped.
+  static std::vector<std::string> split_responses(const std::string& raw) {
+    std::vector<std::string> out;
     std::size_t pos = 0;
     while (pos < raw.size()) {
       std::size_t hdr_end = raw.find("\r\n\r\n", pos);
@@ -141,32 +142,23 @@ class RawClient {
             std::atoll(headers.c_str() + cl + 15));
       }
       if (raw.size() < hdr_end + 4 + body_len) break;
-      ++count;
+      out.push_back(raw.substr(pos, hdr_end + 4 + body_len - pos));
       pos = hdr_end + 4 + body_len;
     }
-    return count;
+    return out;
+  }
+
+  /// Complete responses in `raw`.
+  static int count_responses(const std::string& raw) {
+    return static_cast<int>(split_responses(raw).size());
   }
 
   /// Status codes of every complete response in `raw`, in order.
   static std::vector<int> response_statuses(const std::string& raw) {
     std::vector<int> statuses;
-    std::size_t pos = 0;
-    while (pos < raw.size()) {
-      std::size_t hdr_end = raw.find("\r\n\r\n", pos);
-      if (hdr_end == std::string::npos) break;
-      std::string headers = raw.substr(pos, hdr_end - pos);
-      std::size_t body_len = 0;
-      std::size_t cl = lower(headers).find("content-length:");
-      if (cl != std::string::npos) {
-        body_len = static_cast<std::size_t>(
-            std::atoll(headers.c_str() + cl + 15));
-      }
-      if (raw.size() < hdr_end + 4 + body_len) break;
-      std::size_t sp = headers.find(' ');
-      if (sp != std::string::npos) {
-        statuses.push_back(std::atoi(headers.c_str() + sp + 1));
-      }
-      pos = hdr_end + 4 + body_len;
+    for (const std::string& resp : split_responses(raw)) {
+      std::size_t sp = resp.find(' ');
+      if (sp != std::string::npos) statuses.push_back(std::atoi(resp.c_str() + sp + 1));
     }
     return statuses;
   }

@@ -40,18 +40,11 @@ class ServiceTest : public ::testing::Test {
       : cloud_(docs::build_aws_catalog()), stack_(stack::build_stack(cloud_)) {}
 
   HttpResponse post(const std::string& path, const std::string& body) {
-    HttpRequest req;
-    req.method = "POST";
-    req.path = path;
-    req.body = body;
-    return handle_emulator_request(stack_, req);
+    return handle_emulator_request(stack_, "POST", path, body);
   }
 
   HttpResponse get(const std::string& path) {
-    HttpRequest req;
-    req.method = "GET";
-    req.path = path;
-    return handle_emulator_request(stack_, req);
+    return handle_emulator_request(stack_, "GET", path, "");
   }
 
   cloud::ReferenceCloud cloud_;
@@ -75,10 +68,7 @@ TEST_F(ServiceTest, HealthEndpoint) {
 }
 
 TEST_F(ServiceTest, HealthOnRawBackendOmitsLayerChain) {
-  HttpRequest req;
-  req.method = "GET";
-  req.path = "/health";
-  auto resp = handle_emulator_request(cloud_, req);
+  auto resp = handle_emulator_request(cloud_, "GET", "/health", "");
   EXPECT_EQ(resp.status, 200);
   auto body = parse_json(resp.body);
   ASSERT_TRUE(body);
@@ -102,10 +92,7 @@ TEST_F(ServiceTest, MetricsEndpointCountsInvokes) {
 }
 
 TEST_F(ServiceTest, MetricsEndpointRequiresMetricsLayer) {
-  HttpRequest req;
-  req.method = "GET";
-  req.path = "/metrics";
-  auto raw = handle_emulator_request(cloud_, req);
+  auto raw = handle_emulator_request(cloud_, "GET", "/metrics", "");
   EXPECT_EQ(raw.status, 404);
   EXPECT_EQ(parse_json(raw.body)->get("Error")->get("Code")->as_str(),
             "MetricsUnavailable");
@@ -135,7 +122,9 @@ TEST_F(ServiceTest, InvokeFailureCarriesCloudErrorCode) {
 TEST_F(ServiceTest, IdStringsRetaggedAsRefs) {
   auto vpc = post("/invoke",
                   R"({"Action":"CreateVpc","Params":{"cidr_block":"10.0.0.0/16"}})");
-  auto vpc_id = parse_json(vpc.body)->get("Data")->get("id")->as_str();
+  // Owning copy: the parsed document is a temporary, and as_str() views
+  // into it.
+  std::string vpc_id(parse_json(vpc.body)->get("Data")->get("id")->as_str());
   // The id goes over the wire as a plain string; the service must re-tag
   // it so the backend's ref-typed parameter accepts it.
   auto subnet = post("/invoke",
@@ -234,10 +223,8 @@ TEST(Endpoint, ConcurrentClientsSeeConsistentState) {
 TEST_F(ServiceTest, AdminEndpointsRequirePersistence) {
   // Without a data dir there is no persist manager; the admin routes 404.
   for (const char* path : {"/admin/snapshot", "/admin/persist"}) {
-    HttpRequest req;
-    req.method = path == std::string("/admin/snapshot") ? "POST" : "GET";
-    req.path = path;
-    auto resp = handle_emulator_request(stack_, req);
+    auto resp = handle_emulator_request(
+        stack_, path == std::string("/admin/snapshot") ? "POST" : "GET", path, "");
     EXPECT_EQ(resp.status, 404) << path;
     EXPECT_EQ(parse_json(resp.body)->get("Error")->get("Code")->as_str(),
               "PersistenceUnavailable")
@@ -340,11 +327,7 @@ TEST(Endpoint, ResetIsNotAckedAfterWalFailure) {
   };
   auto stack = stack::build_stack(emulator.backend(), cfg);
   auto post = [&](const std::string& path, const std::string& body) {
-    HttpRequest req;
-    req.method = "POST";
-    req.path = path;
-    req.body = body;
-    return handle_emulator_request(stack, req, raw_mgr);
+    return handle_emulator_request(stack, "POST", path, body, raw_mgr);
   };
 
   ASSERT_EQ(post("/invoke",

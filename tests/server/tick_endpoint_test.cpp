@@ -29,11 +29,7 @@ class TickEndpointTest : public ::testing::Test {
 
   HttpResponse request(const std::string& method, const std::string& path,
                        const std::string& body, bool virtual_time) {
-    HttpRequest req;
-    req.method = method;
-    req.path = path;
-    req.body = body;
-    return handle_emulator_request(stack_, req, /*persist=*/nullptr,
+    return handle_emulator_request(stack_, method, path, body, /*persist=*/nullptr,
                                    /*server=*/nullptr, virtual_time);
   }
 

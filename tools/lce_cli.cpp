@@ -103,11 +103,9 @@ int usage() {
                "  lce bench serve [--quick] [--json FILE] [--ops N]\n"
                "                  [--concurrency a,b,c] [--rate R] [--seed N]\n"
                "                  [--min-speedup X] [--no-enforce]\n"
-               "                  [--http-pipeline N] [--min-http-speedup X]\n"
                "                  [--max-serve-allocs N]\n"
                "      open-loop serve benchmark: sharded interpreter invoke vs\n"
-               "      the SerializeLayer path, plus the zero-copy wire fast\n"
-               "      path vs the heap path; writes BENCH_serve.json\n"
+               "      the SerializeLayer path; writes BENCH_serve.json\n"
                "  lce spec [aws|azure]\n"
                "  lce run <script-file> [aws|azure]\n"
                "  lce diff <script-file> [aws|azure]\n"
@@ -155,9 +153,6 @@ int usage() {
                "      --no-plan    serve through the tree-walking reference\n"
                "                   interpreter instead of the compiled execution\n"
                "                   plan (debugging / A-B comparison)\n"
-               "      --no-wire-fastpath  serve through the heap request/response\n"
-               "                   path instead of the zero-copy wire fast path\n"
-               "                   (byte-identical reference; A-B comparison)\n"
                "      --io-threads N  epoll event-loop threads for the serving\n"
                "                   front end (default: one per core, max 8)\n"
                "      --idle-timeout-ms N  reap a connection when no request\n"
@@ -388,8 +383,6 @@ int main(int argc, char** argv) {
         wait_stdin = false;
       } else if (arg == "--no-plan") {
         pipeline.use_plan = false;
-      } else if (arg == "--no-wire-fastpath") {
-        hopts.wire_fastpath = false;
       } else if (arg == "--io-threads" && i + 1 < argc) {
         hopts.io_threads = std::atoi(argv[++i]);
       } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
