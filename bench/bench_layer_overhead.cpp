@@ -5,12 +5,10 @@
 //
 //   bare        the backend with no layers (baseline)
 //   serialized  Serialize + Metrics, the default endpoint chain
-//   cached      Serialize + Metrics + ReadCache
 //
 // Reported: ns/op per configuration and the ratio over bare. The exit
 // status enforces the acceptance budget: the default chain must stay
-// under 2x bare, and the read cache must beat the serialized chain on
-// repeated describes (it answers from memory above the mutex).
+// under 2x bare.
 //
 // Flags: --quick (smaller workload for CI smoke), --json FILE (machine-
 // readable results, uploaded as a CI artifact).
@@ -107,12 +105,6 @@ int main(int argc, char** argv) {
   stack::LayerStack serialized = stack::build_stack(serialized_cloud, default_cfg);
   double with_layers = best_of(serialized, reps, rounds);
 
-  cloud::ReferenceCloud cached_cloud(docs::build_aws_catalog());
-  stack::StackConfig cache_cfg = default_cfg;
-  cache_cfg.read_cache = true;
-  stack::LayerStack cached = stack::build_stack(cached_cloud, cache_cfg);
-  double with_cache = best_of(cached, reps, rounds);
-
   auto row = [&](const char* name, double ns) {
     return std::vector<std::string>{name, strf(static_cast<long>(ns)),
                                     strf(static_cast<long>(ns * 100 / bare), "%")};
@@ -120,13 +112,10 @@ int main(int argc, char** argv) {
   TextTable table({"configuration", "ns/describe", "vs bare"});
   table.add_row(row("bare", bare));
   table.add_row(row("serialize+metrics", with_layers));
-  table.add_row(row("  +read_cache", with_cache));
   std::cout << table.render() << "\n";
 
   bool overhead_ok = with_layers < 2.0 * bare;
-  bool cache_ok = with_cache < with_layers;
   std::cout << "overhead budget (<2x bare): " << (overhead_ok ? "PASS" : "FAIL")
-            << "\nread cache beats serialized chain: " << (cache_ok ? "PASS" : "FAIL")
             << "\n";
 
   if (!json_path.empty()) {
@@ -135,10 +124,8 @@ int main(int argc, char** argv) {
     root["quick"] = Value(quick);
     root["bare_ns_per_describe"] = Value(static_cast<std::int64_t>(bare));
     root["serialized_ns_per_describe"] = Value(static_cast<std::int64_t>(with_layers));
-    root["cached_ns_per_describe"] = Value(static_cast<std::int64_t>(with_cache));
     root["overhead_budget_ok"] = Value(overhead_ok);
-    root["read_cache_ok"] = Value(cache_ok);
-    root["pass"] = Value(overhead_ok && cache_ok);
+    root["pass"] = Value(overhead_ok);
     std::ofstream out(json_path);
     if (!out) {
       std::cerr << "cannot write " << json_path << "\n";
@@ -147,5 +134,5 @@ int main(int argc, char** argv) {
     out << server::to_json(Value(std::move(root))) << "\n";
     std::cout << "wrote " << json_path << "\n";
   }
-  return overhead_ok && cache_ok ? 0 : 1;
+  return overhead_ok ? 0 : 1;
 }

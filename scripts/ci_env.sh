@@ -24,9 +24,11 @@
 #                        differential fuzz and the TimerHammer
 #                        ensure/cancel/advance races in time_test).
 #                        The fork-based CrashTorture tests self-skip
-#                        under TSan. `lce` is built too because "Wire"
-#                        also selects LceCli.ServeRejectsNoWireFastpath,
-#                        which runs the CLI.
+#                        under TSan. `lce` is built too because "Wire",
+#                        "Fault" and "Snapshot" also select LceCli usage
+#                        tests (ServeRejectsNoWireFastpath,
+#                        ServeRejectsNonNumericFaultSeed, ...), which run
+#                        the CLI.
 export LCE_TSAN_TEST_TARGETS="common_test value_fuzz_test align_test interp_test cloud_test stack_test server_test persist_test plan_test time_test lce"
 export LCE_TSAN_TEST_REGEX='Parallel|Fuzz|Clone|Stack|Hammer|Fault|Layer|Shard|Wal|Journal|Snapshot|Recovery|Replay|Durable|Plan|HttpParser|Torture|SlowLoris|KeepAlive|Endpoint|Wire'
 

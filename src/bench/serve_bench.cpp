@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string_view>
 
 #include "bench/loadgen.h"
@@ -47,9 +48,8 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-stack::StackConfig bench_config(stack::SerializeMode mode) {
+stack::StackConfig bench_config() {
   stack::StackConfig cfg;
-  cfg.serialize = mode;
   cfg.validate = true;
   // No metrics layer: its counter mutex is shared contention that would
   // blur the serialized-vs-sharded comparison this bench exists to make.
@@ -270,10 +270,13 @@ int run_serve_bench(const ServeBenchOptions& opts) {
   // the shared store.
   auto emulator = core::LearnedEmulator::from_docs(
       docs::render_corpus(docs::build_aws_catalog()));
-  stack::LayerStack serialized =
-      stack::build_stack(emulator.backend(), bench_config(stack::SerializeMode::kOn));
-  stack::LayerStack sharded =
-      stack::build_stack(emulator.backend(), bench_config(stack::SerializeMode::kOff));
+  // The serialized baseline puts the whole-backend gate under validate by
+  // hand: build_stack leaves it out because the interpreter is
+  // thread_safe().
+  stack::LayerStack serialized(emulator.backend());
+  serialized.push(std::make_unique<stack::SerializeLayer>())
+      .push(std::make_unique<stack::ValidateLayer>());
+  stack::LayerStack sharded = stack::build_stack(emulator.backend(), bench_config());
 
   // The durable path: sharded stack + JournalLayer over a real data dir.
   std::string data_dir = opts.data_dir;
@@ -294,7 +297,7 @@ int run_serve_bench(const ServeBenchOptions& opts) {
               << "\n";
     return 1;
   }
-  stack::StackConfig wal_cfg = bench_config(stack::SerializeMode::kOff);
+  stack::StackConfig wal_cfg = bench_config();
   wal_cfg.journal = [&persist_mgr] {
     return std::make_unique<persist::JournalLayer>(persist_mgr.get());
   };
@@ -408,7 +411,7 @@ int run_serve_bench(const ServeBenchOptions& opts) {
     server::HttpServerOptions hopts;
     hopts.io_threads = opts.io_threads;
     server::EmulatorEndpoint endpoint(emulator.backend(),
-                                      bench_config(stack::SerializeMode::kOff),
+                                      bench_config(),
                                       nullptr, hopts);
     std::uint16_t port = endpoint.start();
     if (port == 0) {

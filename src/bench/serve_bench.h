@@ -1,7 +1,8 @@
 // The serve-path benchmark driver behind both `bench_serve_throughput`
 // and `lce bench serve`: a closed-loop concurrency sweep comparing the
-// serialized invoke path (SerializeLayer forced ON — the pre-sharding
-// default) against the sharded path (gate OFF — the interpreter's own
+// serialized invoke path (a SerializeLayer gate built by hand under
+// validate — the pre-sharding default) against the sharded path
+// (build_stack's chain, gate-free over the thread-safe interpreter's own
 // striped locks), followed by an open-loop latency run at a fixed arrival
 // rate. Results print as a table and optionally land in BENCH_serve.json.
 //

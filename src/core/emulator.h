@@ -16,7 +16,6 @@
 #include "align/engine.h"
 #include "interp/decoder.h"
 #include "interp/interpreter.h"
-#include "stack/config.h"
 #include "synth/synthesizer.h"
 
 namespace lce::core {
@@ -33,12 +32,6 @@ struct PipelineOptions {
   /// Defaults for align_against(cloud) — including `workers`, the
   /// differential-pass parallelism (0 = auto, 1 = serial).
   align::AlignmentOptions alignment;
-  /// Layer stack installed around the interpreter by layered_backend()
-  /// (serving, concurrent harnesses). Defaults: validate + metrics, no
-  /// faults; serialize is kAuto and stays OUT for the interpreter (it is
-  /// thread_safe() via the sharded store), so the default serve path runs
-  /// concurrently.
-  stack::StackConfig stack;
 };
 
 class LearnedEmulator {
@@ -50,12 +43,6 @@ class LearnedEmulator {
   /// The emulator as a cloud backend (invoke APIs against it).
   interp::Interpreter& backend() { return *backend_; }
   const interp::Interpreter& backend() const { return *backend_; }
-
-  /// The emulator behind the PipelineOptions::stack layer chain — the
-  /// production shape: thread-safe, observable, optionally fault-injecting.
-  /// The returned stack references this emulator's interpreter; the
-  /// emulator must outlive it.
-  stack::LayerStack layered_backend() { return stack::build_stack(*backend_, opts_.stack); }
 
   /// Synthesis provenance: wrangling stats, noise, checks, logs.
   const synth::SynthesisResult& synthesis() const { return synthesis_; }

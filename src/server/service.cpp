@@ -50,9 +50,8 @@ Value server_stats_value(const HttpServerStats& s) {
 
 /// The routing brain behind the wire handler and handle_emulator_request.
 /// Backend and persist calls run under ArenaPause so any Value a layer
-/// retains (trace records, read-cache entries, store writes) lands on the
-/// heap even when the wire handler has a request arena active — the
-/// request's own scratch (decoded doc, response body) stays arena-backed
+/// retains (trace records, store writes) lands on the heap even when the
+/// wire handler has a request arena active — the request's own scratch (decoded doc, response body) stays arena-backed
 /// and dies with the returned RouteReply.
 RouteReply route_emulator_request(CloudBackend& backend, std::string_view method,
                                   std::string_view path, std::string_view body,

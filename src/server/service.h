@@ -57,8 +57,8 @@ HttpResponse handle_emulator_request(CloudBackend& backend, std::string_view met
                                      bool virtual_time = false);
 
 /// A running emulator endpoint; owns the server thread and the layer stack
-/// built around the backend (default: serialize + validate + metrics), not
-/// the backend itself.
+/// built around the backend (default: metrics -> validate, plus serialize
+/// when the backend is not thread_safe()), not the backend itself.
 class EmulatorEndpoint {
  public:
   /// `persist` (optional, caller-owned, must outlive the endpoint) makes

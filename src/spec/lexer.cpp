@@ -58,8 +58,10 @@ class Lexer {
     }
   }
 
-  void fail(std::string msg) {
-    if (error_ != nullptr) *error_ = LexError{std::move(msg), line_, col_};
+  void fail(std::string msg) { fail(std::move(msg), line_, col_); }
+
+  void fail(std::string msg, int line, int col) {
+    if (error_ != nullptr) *error_ = LexError{std::move(msg), line, col};
     failed_ = true;
   }
 
@@ -82,7 +84,9 @@ class Lexer {
       while (std::isdigit(static_cast<unsigned char>(peek()))) num += advance();
       t.kind = TokKind::kInt;
       t.text = num;
-      (void)parse_int(num, t.int_value);
+      if (!parse_int(num, t.int_value)) {
+        fail("integer literal out of range", t.line, t.col);
+      }
       return t;
     }
     if (c == '"') {

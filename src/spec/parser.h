@@ -31,6 +31,11 @@
 // declared state variable, parameter, or `self` is a variable reference;
 // any other bare identifier is an enum-member string literal (matching the
 // paper's `write(status, ASSIGNED)` style).
+//
+// Integer literals are decimal and must fit int64; the lexer refuses a
+// larger one ("integer literal out of range"). A leading `-` is unary
+// minus applied to a positive literal, so INT64_MIN, whose magnitude is
+// one past INT64_MAX, cannot be written as a literal.
 #pragma once
 
 #include <optional>

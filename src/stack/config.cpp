@@ -10,10 +10,7 @@ void push_layers(LayerStack& stack, const StackConfig& config,
                  bool base_thread_safe) {
   // push() wraps the current outermost, so push in inner-to-outer order
   // (the reverse of the request path documented in the header).
-  bool serialize = config.serialize == SerializeMode::kOn ||
-                   (config.serialize == SerializeMode::kAuto && !base_thread_safe);
-  if (serialize) stack.push(std::make_unique<SerializeLayer>());
-  if (config.read_cache) stack.push(std::make_unique<ReadCacheLayer>());
+  if (!base_thread_safe) stack.push(std::make_unique<SerializeLayer>());
   if (config.record) stack.push(std::make_unique<RecordLayer>());
   if (config.journal) stack.push(config.journal());
   if (config.validate) stack.push(std::make_unique<ValidateLayer>());

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/errors.h"
@@ -203,9 +202,6 @@ ApiResponse FaultLayer::invoke(const ApiRequest& req) {
         std::string(errc::kInternalError),
         ErrorRegistry::instance().render_message(errc::kInternalError, {}));
   }
-  if (u < cfg_.throttle_rate + cfg_.error_rate + cfg_.delay_rate) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(cfg_.delay_ms));
-  }
   return inner().invoke(req);
 }
 
@@ -325,81 +321,6 @@ std::unique_ptr<BackendLayer> RecordLayer::clone_detached() const {
   copy->trace_ = trace_;
   copy->responses_ = responses_;
   copy->minted_ids_ = minted_ids_;
-  return copy;
-}
-
-// --------------------------------------------------------------- read cache
-
-bool ReadCacheLayer::is_read_api(const std::string& api) {
-  return api.rfind("Describe", 0) == 0 || api.rfind("Get", 0) == 0 ||
-         api.rfind("List", 0) == 0;
-}
-
-namespace {
-
-std::string cache_key(const ApiRequest& req) {
-  // Value::Map is ordered, so to_text() is a canonical rendering.
-  return strf(req.api, "\x1f", req.target, "\x1f", Value(req.args).to_text());
-}
-
-}  // namespace
-
-ApiResponse ReadCacheLayer::invoke(const ApiRequest& req) {
-  if (!is_read_api(req.api)) {
-    ApiResponse resp = inner().invoke(req);
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.clear();
-    ++generation_;
-    return resp;
-  }
-  std::string key = cache_key(req);
-  std::uint64_t gen_at_lookup;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++hits_;
-      return it->second;
-    }
-    ++misses_;
-    gen_at_lookup = generation_;
-  }
-  ApiResponse resp = inner().invoke(req);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Install only if no write invalidated the cache while we were reading;
-    // otherwise this reply may describe pre-write state.
-    if (generation_ == gen_at_lookup) cache_.emplace(key, resp);
-  }
-  return resp;
-}
-
-void ReadCacheLayer::reset() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.clear();
-    ++generation_;
-  }
-  inner().reset();
-}
-
-std::uint64_t ReadCacheLayer::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t ReadCacheLayer::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-std::unique_ptr<BackendLayer> ReadCacheLayer::clone_detached() const {
-  auto copy = std::make_unique<ReadCacheLayer>();
-  std::lock_guard<std::mutex> lock(mu_);
-  copy->cache_ = cache_;
-  copy->generation_ = generation_;
-  copy->hits_ = hits_;
-  copy->misses_ = misses_;
   return copy;
 }
 

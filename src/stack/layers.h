@@ -1,4 +1,4 @@
-// The six stock layers (see layer.h for the decorator machinery and
+// The five stock layers (see layer.h for the decorator machinery and
 // config.h for the canonical ordering):
 //
 //   SerializeLayer  mutex gate so single-threaded backends survive
@@ -7,12 +7,10 @@
 //                   as refs (moved out of server/service.cpp)
 //   MetricsLayer    per-API call/error counters + latency histograms,
 //                   snapshotable as a Value (GET /metrics)
-//   FaultLayer      seeded, deterministic injection of throttling, internal
-//                   errors and delays — cloud-realistic chaos for clients
+//   FaultLayer      seeded, deterministic injection of throttling and
+//                   internal errors — cloud-realistic chaos for clients
 //   RecordLayer     captures live calls into a replayable Trace (corpus
 //                   growth from real traffic)
-//   ReadCacheLayer  memoizes read-only describe calls, invalidated by any
-//                   write — repeated describes skip the backend entirely
 //
 // Every stateful layer is internally thread-safe (its own mutex), because
 // layers above SerializeLayer see concurrent callers.
@@ -118,8 +116,6 @@ class MetricsLayer final : public BackendLayer {
 struct FaultConfig {
   double throttle_rate = 0.05;  // P(RequestLimitExceeded)
   double error_rate = 0.02;     // P(InternalError)
-  double delay_rate = 0.0;      // P(response delayed by delay_ms)
-  int delay_ms = 5;
 };
 
 class FaultLayer final : public BackendLayer {
@@ -148,8 +144,8 @@ class FaultLayer final : public BackendLayer {
 };
 
 /// Captures every request that reaches it into a Trace replayable via
-/// run_trace / print_trace_script. Sits below ValidateLayer (records
-/// normalized calls) and above ReadCacheLayer (records cache hits too).
+/// run_trace / print_trace_script. Sits below ValidateLayer, so it records
+/// normalized calls.
 /// Ids of resources created earlier in the recording are rewritten to
 /// "$k.id" placeholders, so the captured trace is backend-portable (the
 /// script format has no concrete-ref syntax; replays mint their own ids).
@@ -179,32 +175,6 @@ class RecordLayer final : public BackendLayer {
   std::vector<ApiResponse> responses_;  // index-aligned with trace_.calls
   /// id string -> index of the recorded call whose response minted it.
   std::map<std::string, std::size_t, std::less<>> minted_ids_;
-};
-
-/// Memoizes read-only calls (Describe*/Get*/List* by API-name convention,
-/// matching the corpus naming). ANY other API is treated as a write and
-/// invalidates the whole cache. A generation counter closes the lookup/
-/// fill race: a read that raced a write must not install its stale reply.
-class ReadCacheLayer final : public BackendLayer {
- public:
-  std::string layer_name() const override { return "read_cache"; }
-  ApiResponse invoke(const ApiRequest& req) override;
-  void reset() override;
-
-  static bool is_read_api(const std::string& api);
-
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-
- protected:
-  std::unique_ptr<BackendLayer> clone_detached() const override;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, ApiResponse> cache_;
-  std::uint64_t generation_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace lce::stack

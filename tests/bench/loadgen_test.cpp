@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "bench/serve_bench.h"
@@ -67,9 +68,8 @@ class LoadGenTest : public ::testing::Test {
       : emulator_(core::LearnedEmulator::from_docs(
             docs::render_corpus(docs::build_aws_catalog()))) {}
 
-  stack::LayerStack make_stack(stack::SerializeMode mode) {
+  stack::LayerStack make_stack() {
     stack::StackConfig cfg;
-    cfg.serialize = mode;
     cfg.metrics = false;
     return stack::build_stack(emulator_.backend(), cfg);
   }
@@ -78,7 +78,7 @@ class LoadGenTest : public ::testing::Test {
 };
 
 TEST_F(LoadGenTest, ClosedLoopRunsEveryOpWithoutErrors) {
-  auto stack = make_stack(stack::SerializeMode::kAuto);
+  auto stack = make_stack();
   LoadOptions opts;
   opts.concurrency = 4;
   opts.total_ops = 400;
@@ -93,7 +93,13 @@ TEST_F(LoadGenTest, ClosedLoopRunsEveryOpWithoutErrors) {
 }
 
 TEST_F(LoadGenTest, SerializedPathRunsTheSameWorkloadCleanly) {
-  auto stack = make_stack(stack::SerializeMode::kOn);
+  // The serve bench's baseline: the whole-backend gate built by hand under
+  // validate, since build_stack leaves it out over the thread-safe
+  // interpreter.
+  stack::LayerStack stack(emulator_.backend());
+  stack.push(std::make_unique<stack::SerializeLayer>())
+      .push(std::make_unique<stack::ValidateLayer>());
+  EXPECT_EQ(stack.layer_names(), (std::vector<std::string>{"validate", "serialize"}));
   LoadOptions opts;
   opts.concurrency = 4;
   opts.total_ops = 300;
@@ -104,7 +110,7 @@ TEST_F(LoadGenTest, SerializedPathRunsTheSameWorkloadCleanly) {
 }
 
 TEST_F(LoadGenTest, OpenLoopPacesArrivalsAcrossTheSchedule) {
-  auto stack = make_stack(stack::SerializeMode::kAuto);
+  auto stack = make_stack();
   LoadOptions opts;
   opts.concurrency = 2;
   opts.total_ops = 200;
@@ -131,7 +137,6 @@ class KeepAliveLoadgen : public ::testing::Test {
 
   static stack::StackConfig sharded_config() {
     stack::StackConfig cfg;
-    cfg.serialize = stack::SerializeMode::kOff;
     cfg.metrics = false;
     return cfg;
   }
@@ -236,7 +241,7 @@ TEST(ServeBenchJson, ReportCarriesTheKeepAliveSweep) {
 }
 
 TEST_F(LoadGenTest, ResetBetweenRunsKeepsRunsIndependent) {
-  auto stack = make_stack(stack::SerializeMode::kAuto);
+  auto stack = make_stack();
   LoadOptions opts;
   opts.concurrency = 2;
   opts.total_ops = 150;

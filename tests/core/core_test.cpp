@@ -7,6 +7,7 @@
 #include "core/scenarios.h"
 #include "docs/corpus.h"
 #include "docs/render.h"
+#include "stack/config.h"
 
 namespace lce::core {
 namespace {
@@ -34,15 +35,14 @@ TEST(LearnedEmulator, RichMessagesOnByDefault) {
 }
 
 TEST(LearnedEmulator, LayeredBackendWrapsInterpreterInConfiguredStack) {
-  PipelineOptions opts;
-  opts.stack.fault_seed = 5;
-  opts.stack.fault.throttle_rate = 0.0;
-  opts.stack.fault.error_rate = 0.0;
-  auto emu = LearnedEmulator::from_docs(aws_docs(), opts);
-  auto layered = emu.layered_backend();
+  auto emu = LearnedEmulator::from_docs(aws_docs());
+  stack::StackConfig cfg;
+  cfg.fault_seed = 5;
+  cfg.fault.throttle_rate = 0.0;
+  cfg.fault.error_rate = 0.0;
+  auto layered = stack::build_stack(emu.backend(), cfg);
   // No "serialize": the interpreter is thread_safe() via the sharded
-  // store, so the kAuto gate stays out and the serve path runs
-  // concurrently by default.
+  // store, so the gate stays out and the serve path runs concurrently.
   EXPECT_EQ(layered.layer_names(),
             (std::vector<std::string>{"metrics", "fault", "validate"}));
   EXPECT_TRUE(layered.thread_safe());

@@ -1,7 +1,8 @@
 // The full layer chain behind a live socket: concurrent clients hammering
-// an EmulatorEndpoint built over the default stack (metrics -> validate ->
-// serialize), plus fault-seeded endpoints surfacing injected chaos as HTTP
-// status codes. The "Hammer" tests are the ThreadSanitizer targets wired
+// an EmulatorEndpoint built over the default stack (metrics -> validate,
+// plus serialize over the reference cloud, which is not thread_safe()),
+// plus fault-seeded endpoints surfacing injected chaos as HTTP status
+// codes. The "Hammer" tests are the ThreadSanitizer targets wired
 // into scripts/tier1.sh.
 #include <gtest/gtest.h>
 
@@ -24,14 +25,14 @@ namespace lce::server {
 namespace {
 
 TEST(EndpointStack, HammerFullChainKeepsCountsAndStateConsistent) {
-  // Parallel clients mixing writes and cached reads through every layer at
-  // once. Afterwards the metrics layer's totals must equal the exact
-  // request count — the stack may not lose or double-count under
-  // contention — and the snapshot must hold one resource per create.
+  // Parallel clients mixing writes and reads through every layer at once.
+  // Afterwards the metrics layer's totals must equal the exact request
+  // count — the stack may not lose or double-count under contention — and
+  // the snapshot must hold one resource per create.
   cloud::ReferenceCloud cloud(docs::build_aws_catalog());
-  stack::StackConfig config;
-  config.read_cache = true;
-  EmulatorEndpoint endpoint(cloud, config);
+  EmulatorEndpoint endpoint(cloud);
+  ASSERT_EQ(endpoint.stack().layer_names(),
+            (std::vector<std::string>{"metrics", "validate", "serialize"}));
   std::uint16_t port = endpoint.start();
   ASSERT_NE(port, 0);
 
@@ -51,8 +52,8 @@ TEST(EndpointStack, HammerFullChainKeepsCountsAndStateConsistent) {
           continue;
         }
         std::string id(created.data.get("id")->as_str());
-        // Read back through the cache layer; the id travels as a plain
-        // string and the validate layer re-tags it.
+        // Read back; the id travels as a plain string and the validate
+        // layer re-tags it.
         auto described = invoke_over_http(port, "DescribeVpc", {{"id", Value(id)}});
         if (!described.ok) ++failures;
         std::lock_guard<std::mutex> lock(mu);
@@ -76,8 +77,8 @@ TEST(EndpointStack, HammerFullChainKeepsCountsAndStateConsistent) {
 }
 
 TEST(EndpointStack, HammerShardedInterpreterEndpointWithoutSerializeGate) {
-  // The interpreter backend is thread_safe(), so the default (kAuto) stack
-  // must NOT install the serialize gate — requests hit the sharded store
+  // The interpreter backend is thread_safe(), so the default stack must
+  // NOT install the serialize gate — requests hit the sharded store
   // concurrently — yet counts, snapshot size, and per-id state must come
   // out exactly as if serialized. This is the serve-path tentpole's
   // end-to-end TSan target.

@@ -29,6 +29,19 @@ TEST(Lexer, IntegerLiterals) {
   EXPECT_EQ(toks[2].int_value, 123456);
 }
 
+TEST(Lexer, IntegerLiteralOutOfRangeFails) {
+  LexError err;
+  auto toks = lex("9223372036854775807", &err);
+  ASSERT_EQ(toks.size(), 2u);
+  EXPECT_EQ(toks[0].int_value, INT64_MAX);
+
+  auto bad = lex("a\n  9223372036854775808 b", &err);
+  EXPECT_TRUE(bad.empty());
+  EXPECT_EQ(err.message, "integer literal out of range");
+  EXPECT_EQ(err.line, 2);
+  EXPECT_EQ(err.col, 3);  // the literal's first digit
+}
+
 TEST(Lexer, StringLiteralsWithEscapes) {
   LexError err;
   auto toks = lex(R"("abc" "a\"b" "x\ny")", &err);

@@ -1,5 +1,5 @@
 // The composable backend layer stack (src/stack): decorator forwarding,
-// clone semantics (chain AND layer state), the six stock layers, and the
+// clone semantics (chain AND layer state), the five stock layers, and the
 // canonical build_stack ordering. Determinism-sensitive pieces — the fault
 // sequence, clone continuation — are pinned hard, because FaultLayer is
 // advertised as seeded chaos that reproduces bit-for-bit.
@@ -325,129 +325,64 @@ TEST(RecordLayerTest, ResetStartsAFreshRecording) {
   EXPECT_EQ(record.recorded(), 0u);
 }
 
-/// Counts invokes that actually reach the wrapped backend.
-class CountingBackend final : public CloudBackend {
+/// A reference cloud that reports thread_safe(), as the sharded
+/// interpreter does, so build_stack leaves the serialize gate out. The
+/// tests that use it call it from one thread.
+class ThreadSafeCloud final : public CloudBackend {
  public:
-  explicit CountingBackend(std::unique_ptr<CloudBackend> inner)
-      : inner_(std::move(inner)) {}
-  std::string name() const override { return inner_->name(); }
-  ApiResponse invoke(const ApiRequest& req) override {
-    ++invokes_;
-    return inner_->invoke(req);
-  }
-  void reset() override { inner_->reset(); }
-  bool supports(const std::string& api) const override { return inner_->supports(api); }
-  Value snapshot() const override { return inner_->snapshot(); }
-  std::size_t invokes() const { return invokes_; }
+  std::string name() const override { return cloud_.name(); }
+  ApiResponse invoke(const ApiRequest& req) override { return cloud_.invoke(req); }
+  void reset() override { cloud_.reset(); }
+  bool supports(const std::string& api) const override { return cloud_.supports(api); }
+  Value snapshot() const override { return cloud_.snapshot(); }
+  bool thread_safe() const override { return true; }
 
  private:
-  std::unique_ptr<CloudBackend> inner_;
-  std::size_t invokes_ = 0;
+  cloud::ReferenceCloud cloud_ = make_cloud();
 };
-
-TEST(ReadCacheLayerTest, RepeatedDescribesHitTheCache) {
-  CountingBackend counting(
-      std::make_unique<cloud::ReferenceCloud>(docs::build_aws_catalog()));
-  ReadCacheLayer cache;
-  cache.attach(counting);
-
-  auto vpc = cache.invoke(create_vpc());
-  ASSERT_TRUE(vpc.ok);
-  ApiRequest describe{"DescribeVpc", {{"id", *vpc.data.get("id")}}, ""};
-
-  auto first = cache.invoke(describe);
-  auto second = cache.invoke(describe);
-  auto third = cache.invoke(describe);
-  EXPECT_EQ(counting.invokes(), 2u);  // create + ONE describe
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(first.to_text(), second.to_text());
-  EXPECT_EQ(first.to_text(), third.to_text());
-}
-
-TEST(ReadCacheLayerTest, AnyWriteInvalidates) {
-  CountingBackend counting(
-      std::make_unique<cloud::ReferenceCloud>(docs::build_aws_catalog()));
-  ReadCacheLayer cache;
-  cache.attach(counting);
-
-  auto vpc = cache.invoke(create_vpc());
-  ASSERT_TRUE(vpc.ok);
-  ApiRequest describe{"DescribeVpc", {{"id", *vpc.data.get("id")}}, ""};
-  cache.invoke(describe);
-  cache.invoke(describe);
-  ASSERT_EQ(cache.hits(), 1u);
-
-  // A write (CreateVpc) flushes; the next describe goes to the backend.
-  ASSERT_TRUE(cache.invoke(create_vpc("10.1.0.0/16")).ok);
-  cache.invoke(describe);
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(ReadCacheLayerTest, DistinctArgsAreDistinctEntries) {
-  auto cloud = make_cloud();
-  ReadCacheLayer cache;
-  cache.attach(cloud);
-  auto a = cache.invoke(create_vpc());
-  auto b = cache.invoke(create_vpc("10.1.0.0/16"));
-  ASSERT_TRUE(a.ok);
-  ASSERT_TRUE(b.ok);
-  auto ra = cache.invoke({"DescribeVpc", {{"id", *a.data.get("id")}}, ""});
-  auto rb = cache.invoke({"DescribeVpc", {{"id", *b.data.get("id")}}, ""});
-  EXPECT_NE(ra.to_text(), rb.to_text());
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(ReadCacheLayerTest, ReadApiConvention) {
-  EXPECT_TRUE(ReadCacheLayer::is_read_api("DescribeVpc"));
-  EXPECT_TRUE(ReadCacheLayer::is_read_api("GetItem"));
-  EXPECT_TRUE(ReadCacheLayer::is_read_api("ListTables"));
-  EXPECT_FALSE(ReadCacheLayer::is_read_api("CreateVpc"));
-  EXPECT_FALSE(ReadCacheLayer::is_read_api("DeleteVpc"));
-  EXPECT_FALSE(ReadCacheLayer::is_read_api("ModifySubnetAttribute"));
-}
 
 TEST(LayerStackTest, BuildStackInstallsCanonicalOrder) {
   auto cloud = make_cloud();
   StackConfig config;
-  config.read_cache = true;
   config.record = true;
   config.fault_seed = 9;
   LayerStack stack = build_stack(cloud, config);
 
   EXPECT_EQ(stack.layer_names(),
             (std::vector<std::string>{"metrics", "fault", "validate", "record",
-                                      "read_cache", "serialize"}));
+                                      "serialize"}));
   EXPECT_EQ(stack.name(), "reference-cloud");
   EXPECT_NE(stack.find<MetricsLayer>(), nullptr);
   EXPECT_NE(stack.find<FaultLayer>(), nullptr);
   EXPECT_NE(stack.find<RecordLayer>(), nullptr);
-  EXPECT_NE(stack.find<ReadCacheLayer>(), nullptr);
 }
 
 TEST(LayerStackTest, EmptyConfigForwardsStraightToBase) {
-  auto cloud = make_cloud();
+  ThreadSafeCloud cloud;
   StackConfig none;
-  none.serialize = SerializeMode::kOff;
   none.validate = none.metrics = false;
   LayerStack stack = build_stack(cloud, none);
   EXPECT_EQ(stack.depth(), 0u);
   EXPECT_EQ(stack.find<MetricsLayer>(), nullptr);
   ASSERT_TRUE(stack.invoke(create_vpc()).ok);
   EXPECT_EQ(cloud.snapshot().as_map().size(), 1u);
+
+  // No setting removes the gate from a base that is not thread_safe().
+  auto unsafe = make_cloud();
+  EXPECT_EQ(build_stack(unsafe, none).layer_names(),
+            (std::vector<std::string>{"serialize"}));
 }
 
 TEST(LayerStackTest, StackedInvokeFlowsThroughEveryLayer) {
   auto cloud = make_cloud();
   StackConfig config;
-  config.read_cache = true;
   config.record = true;
   LayerStack stack = build_stack(cloud, config);
 
   auto vpc = stack.invoke(create_vpc());
   ASSERT_TRUE(vpc.ok);
-  // Wire-shaped id works end to end (validate), is recorded (record),
-  // counted (metrics), and repeated describes are served by the cache.
+  // Wire-shaped id works end to end (validate), and every call is recorded
+  // (record) and counted (metrics).
   auto subnet = stack.invoke({"CreateSubnet",
                               {{"vpc", Value(vpc.data.get("id")->as_str())},
                                {"cidr_block", Value("10.0.1.0/24")},
@@ -460,7 +395,6 @@ TEST(LayerStackTest, StackedInvokeFlowsThroughEveryLayer) {
 
   EXPECT_EQ(stack.find<MetricsLayer>()->calls(), 4u);
   EXPECT_EQ(stack.find<RecordLayer>()->recorded(), 4u);
-  EXPECT_EQ(stack.find<ReadCacheLayer>()->hits(), 1u);
 }
 
 TEST(LayerStackTest, CloneCopiesChainAndLayerState) {

@@ -13,8 +13,8 @@
 //                                    (0 = auto, 1 = serial; the report is
 //                                    identical for every worker count);
 //                                    --metrics prints per-API call counts
-//   lce serve [provider] [port] [--metrics|--no-metrics] [--read-cache]
-//             [--fault-seed N] [--record FILE] [--data-dir DIR]
+//   lce serve [provider] [port] [--metrics|--no-metrics] [--fault-seed N]
+//             [--record FILE] [--data-dir DIR]
 //             [--snapshot-every N] [--wal-sync none|batch] [--no-stdin]
 //                                    serve the emulator over HTTP
 //                                    (LocalStack-style; Ctrl-D to stop)
@@ -85,6 +85,8 @@ docs::CloudCatalog catalog_for(const std::string& provider) {
   return provider == "azure" ? docs::build_azure_catalog() : docs::build_aws_catalog();
 }
 
+constexpr int kMaxPort = 65535;
+
 /// A whole number >= `min` (and within int); false for anything else, so
 /// a typo is refused rather than read as 0.
 bool parse_count(std::string_view text, int min, int& out) {
@@ -94,6 +96,15 @@ bool parse_count(std::string_view text, int min, int& out) {
     return false;
   }
   out = static_cast<int>(v);
+  return true;
+}
+
+/// A whole number >= 0 within int64, for the 64-bit settings (fault seed,
+/// snapshot cadence); false for anything else, so "-1" is not read as 2^64-1.
+bool parse_u64(std::string_view text, std::uint64_t& out) {
+  std::int64_t v = 0;
+  if (!parse_int(text, v) || v < 0) return false;
+  out = static_cast<std::uint64_t>(v);
   return true;
 }
 
@@ -120,11 +131,6 @@ int usage() {
                "  lce serve [aws|azure] [port] [options]\n"
                "      --metrics / --no-metrics   install the metrics layer and\n"
                "                   GET /metrics endpoint (default on)\n"
-               "      --read-cache memoize Describe/Get/List calls until the\n"
-               "                   next write\n"
-               "      --serialize  force the whole-backend serialize gate even\n"
-               "                   for thread-safe backends (compatibility mode;\n"
-               "                   the sharded interpreter path is the default)\n"
                "      --fault-seed N  inject deterministic RequestLimitExceeded /\n"
                "                   InternalError faults seeded with N\n"
                "      --record FILE   capture live traffic; write it as a\n"
@@ -349,19 +355,17 @@ int main(int argc, char** argv) {
         config.metrics = true;
       } else if (arg == "--no-metrics") {
         config.metrics = false;
-      } else if (arg == "--read-cache") {
-        config.read_cache = true;
-      } else if (arg == "--serialize") {
-        config.serialize = stack::SerializeMode::kOn;
       } else if (arg == "--fault-seed" && i + 1 < argc) {
-        config.fault_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+        std::uint64_t seed = 0;
+        if (!parse_u64(argv[++i], seed)) return usage();
+        config.fault_seed = seed;
       } else if (arg == "--record" && i + 1 < argc) {
         config.record = true;
         record_path = argv[++i];
       } else if (arg == "--data-dir" && i + 1 < argc) {
         popts.data_dir = argv[++i];
       } else if (arg == "--snapshot-every" && i + 1 < argc) {
-        popts.snapshot_every = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+        if (!parse_u64(argv[++i], popts.snapshot_every)) return usage();
       } else if (arg == "--wal-sync" && i + 1 < argc) {
         std::string mode = argv[++i];
         if (mode == "none") {
@@ -375,7 +379,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--virtual-time") {
         virtual_time = true;
       } else if (arg == "--tick-ms" && i + 1 < argc) {
-        tick_ms = std::atoi(argv[++i]);
+        if (!parse_count(argv[++i], 0, tick_ms)) return usage();
         virtual_time = true;
       } else if (arg == "--spec" && i + 1 < argc) {
         spec_path = argv[++i];
@@ -384,13 +388,13 @@ int main(int argc, char** argv) {
       } else if (arg == "--no-plan") {
         pipeline.use_plan = false;
       } else if (arg == "--io-threads" && i + 1 < argc) {
-        hopts.io_threads = std::atoi(argv[++i]);
+        if (!parse_count(argv[++i], 0, hopts.io_threads)) return usage();
       } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
-        hopts.idle_timeout_ms = std::atoi(argv[++i]);
+        if (!parse_count(argv[++i], 0, hopts.idle_timeout_ms)) return usage();
       } else if (arg == "--max-requests-per-conn" && i + 1 < argc) {
-        hopts.max_requests_per_conn = std::atoi(argv[++i]);
+        if (!parse_count(argv[++i], 0, hopts.max_requests_per_conn)) return usage();
       } else if (!arg.empty() && arg[0] != '-') {
-        port = std::atoi(arg.c_str());
+        if (!parse_count(arg, 0, port) || port > kMaxPort) return usage();
       } else {
         return usage();
       }
@@ -520,8 +524,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "snapshot") {
-    int port = argc > 2 ? std::atoi(argv[2]) : 0;
-    if (port <= 0) {
+    int port = 0;
+    if (argc > 2 && (!parse_count(argv[2], 0, port) || port > kMaxPort)) return usage();
+    if (port == 0) {
       std::cerr << "lce: snapshot needs the port of a running endpoint\n";
       return 2;
     }
