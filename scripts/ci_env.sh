@@ -22,7 +22,10 @@
 #                        ShutdownHammer restart cycles — "Hammer"), and
 #                        the virtual-time suites (the timer-wheel
 #                        differential fuzz and the TimerHammer
-#                        ensure/cancel/advance races in time_test).
+#                        ensure/cancel/advance races in time_test),
+#                        and the located-invoke suite ("FailureSite":
+#                        threads sharing one interpreter must each get
+#                        their own call's failure site).
 #                        The fork-based CrashTorture tests self-skip
 #                        under TSan. `lce` is built too because "Wire",
 #                        "Fault" and "Snapshot" also select LceCli usage
@@ -30,7 +33,7 @@
 #                        ServeRejectsNonNumericFaultSeed, ...), which run
 #                        the CLI.
 export LCE_TSAN_TEST_TARGETS="common_test value_fuzz_test align_test interp_test cloud_test stack_test server_test persist_test plan_test time_test lce"
-export LCE_TSAN_TEST_REGEX='Parallel|Fuzz|Clone|Stack|Hammer|Fault|Layer|Shard|Wal|Journal|Snapshot|Recovery|Replay|Durable|Plan|HttpParser|Torture|SlowLoris|KeepAlive|Endpoint|Wire'
+export LCE_TSAN_TEST_REGEX='Parallel|Fuzz|Clone|Stack|Hammer|Fault|Layer|Shard|Wal|Journal|Snapshot|Recovery|Replay|Durable|Plan|HttpParser|Torture|SlowLoris|KeepAlive|Endpoint|Wire|FailureSite'
 
 # Portable core count: GNU coreutils' nproc, then the BSD/macOS sysctl,
 # then POSIX getconf, then a safe fallback.

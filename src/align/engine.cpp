@@ -138,6 +138,12 @@ AlignmentReport AlignmentEngine::run() {
 
     t0 = Clock::now();
     Repairer repairer(emu_, cloud_);
+    auto still_diverges = [&](const Discrepancy& d) {
+      GenTrace probe;
+      probe.trace = d.trace;
+      probe.cls = d.cls;
+      return diff_trace(cloud_, emu_, probe);
+    };
     std::size_t repaired = 0;
     auto record = [&](RepairAction action) {
       report.log.push_back("  repair: " + action.to_text());
@@ -181,13 +187,9 @@ AlignmentReport AlignmentEngine::run() {
 
     // Then: per-discrepancy repairs, re-verified against the evolving spec.
     for (auto& d : found) {
-      GenTrace probe;
-      probe.trace = d.trace;
-      probe.cls = d.cls;
-      auto still = diff_trace(cloud_, emu_, probe);
+      auto still = still_diverges(d);
       if (!still) continue;  // an earlier repair already fixed it
       Discrepancy current = std::move(*still);
-      current.cls = d.cls;
       if (opts_.shrink) current = shrink(cloud_, emu_, std::move(current));
       auto action = repairer.repair(current);
       if (action) {
@@ -197,10 +199,19 @@ AlignmentReport AlignmentEngine::run() {
       }
     }
     stats.repairs = repaired;
+    if (repaired != 0) {
+      report.unrepaired.clear();  // retry next round against the new spec
+      if (round + 1 == opts_.max_rounds) {
+        // No round is left to retry in: report what still diverges
+        // against the final spec.
+        for (const auto& d : found) {
+          if (auto still = still_diverges(d)) report.unrepaired.push_back(std::move(*still));
+        }
+      }
+    }
     stats.repair_wall_ms = ms_since(t0);
     report.rounds.push_back(stats);
     if (repaired == 0) break;  // stuck: avoid spinning
-    report.unrepaired.clear(); // retry next round against the new spec
   }
   return report;
 }

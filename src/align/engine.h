@@ -58,7 +58,10 @@ struct RoundStats {
 struct AlignmentReport {
   std::vector<RoundStats> rounds;
   std::vector<RepairAction> repairs;
-  std::vector<Discrepancy> unrepaired;  // after the final round
+  /// The final round's discrepancies that still diverge: those its
+  /// repairs could not fix, or, when the round budget ended the loop, all
+  /// that still diverge against the final spec. Empty once converged.
+  std::vector<Discrepancy> unrepaired;
   bool converged = false;
   std::vector<std::string> log;
 

@@ -18,10 +18,6 @@ using spec::StmtKind;
 using spec::Transition;
 using spec::TransitionKind;
 
-void ensure_code_registered(const std::string& code) {
-  ErrorRegistry::instance().add(code, "Request failed ({api}).");
-}
-
 spec::StmtPtr assert_stmt(spec::ExprPtr pred, std::string code) {
   auto s = std::make_unique<spec::Stmt>();
   s->kind = StmtKind::kAssert;
@@ -30,15 +26,36 @@ spec::StmtPtr assert_stmt(spec::ExprPtr pred, std::string code) {
   return s;
 }
 
-/// Insert a precondition after any leading exists-asserts (reference
-/// validation fires first on the cloud too).
-void insert_precondition(Transition& t, spec::StmtPtr stmt) {
+/// Insert the precondition assert `stmt` after any leading exists-asserts
+/// (reference validation fires first on the cloud too). A repair must
+/// change the spec: when `t` already holds the same top-level assert (same
+/// code, same predicate text) nothing is inserted and this returns false.
+bool insert_precondition(Transition& t, spec::StmtPtr stmt) {
+  const std::string text = stmt->expr->to_text();
+  for (const auto& s : t.body) {
+    if (s->kind == StmtKind::kAssert && s->error_code == stmt->error_code && s->expr &&
+        s->expr->to_text() == text) {
+      return false;
+    }
+  }
   std::size_t pos = 0;
   while (pos < t.body.size() && t.body[pos]->kind == StmtKind::kAssert &&
          t.body[pos]->error_code == errc::kResourceNotFound) {
     ++pos;
   }
   t.body.insert(t.body.begin() + static_cast<std::ptrdiff_t>(pos), std::move(stmt));
+  return true;
+}
+
+/// The top-level assert that `site` says aborted `t`; nullptr when the
+/// abort came from anything else, an assert nested in an `if` arm included.
+spec::Stmt* failing_assert(Transition& t, const interp::FailureSite& site) {
+  if (site.origin != interp::FailureSite::Origin::kAssert || site.stmt < 0 ||
+      static_cast<std::size_t>(site.stmt) >= t.body.size()) {
+    return nullptr;
+  }
+  spec::Stmt& s = *t.body[static_cast<std::size_t>(site.stmt)];
+  return s.kind == StmtKind::kAssert && s.expr ? &s : nullptr;
 }
 
 spec::Type type_for_value(const Value& v) {
@@ -85,10 +102,11 @@ Repairer::Repairer(interp::Interpreter& emulator, CloudBackend& cloud)
 interp::FailureSite Repairer::emu_failure_at(const Discrepancy& d) {
   emu_.reset();
   std::vector<ApiResponse> prior;
+  interp::FailureSite site;
   for (std::size_t i = 0; i <= d.call_index && i < d.trace.calls.size(); ++i) {
-    prior.push_back(emu_.invoke(resolve_placeholders(d.trace.calls[i], prior)));
+    prior.push_back(emu_.invoke(resolve_placeholders(d.trace.calls[i], prior), &site));
   }
-  return emu_.last_failure();
+  return site;
 }
 
 ApiRequest Repairer::cloud_request_at(const Discrepancy& d,
@@ -120,26 +138,18 @@ std::optional<RepairAction> Repairer::repair_code_mismatch(const Discrepancy& d)
   StateMachine* m = spec.find_machine(site.machine);
   Transition* t = m != nullptr ? m->find_transition(site.transition) : nullptr;
 
-  if (site.origin == interp::FailureSite::Origin::kAssert && t != nullptr) {
-    for (auto& s : t->body) {
-      if (s->kind == StmtKind::kAssert && s->error_code == site.error_code &&
-          s->expr && s->expr->to_text() == site.assert_text) {
-        ensure_code_registered(d.cloud.code);
-        std::string old = s->error_code;
-        s->error_code = d.cloud.code;
-        emu_.replace_spec(std::move(spec));
-        return RepairAction{RepairAction::Kind::kPatchErrorCode, site.machine,
-                            site.transition,
-                            strf("'", old, "' -> '", d.cloud.code, "' (learned from cloud)")};
-      }
-    }
+  if (spec::Stmt* s = t != nullptr ? failing_assert(*t, site) : nullptr) {
+    std::string old = s->error_code;
+    s->error_code = d.cloud.code;
+    emu_.replace_spec(std::move(spec));
+    return RepairAction{RepairAction::Kind::kPatchErrorCode, site.machine, site.transition,
+                        strf("'", old, "' -> '", d.cloud.code, "' (learned from cloud)")};
   }
   if (site.origin == interp::FailureSite::Origin::kFramework && t != nullptr &&
       t->kind == TransitionKind::kDestroy) {
     // The framework reclaim guard fired with DependencyViolation but the
     // cloud uses a different code: encode an explicit assert that fires
     // first with the learned code.
-    ensure_code_registered(d.cloud.code);
     auto pred = spec::make_binary(
         BinaryOp::kEq,
         spec::make_builtin("child_count", [] {
@@ -148,7 +158,9 @@ std::optional<RepairAction> Repairer::repair_code_mismatch(const Discrepancy& d)
           return v;
         }()),
         spec::make_literal(Value(0)));
-    insert_precondition(*t, assert_stmt(std::move(pred), d.cloud.code));
+    if (!insert_precondition(*t, assert_stmt(std::move(pred), d.cloud.code))) {
+      return std::nullopt;
+    }
     emu_.replace_spec(std::move(spec));
     return RepairAction{RepairAction::Kind::kAddReclaimGuard, site.machine, site.transition,
                         strf("explicit reclaim guard with learned code '", d.cloud.code, "'")};
@@ -164,22 +176,17 @@ std::optional<RepairAction> Repairer::repair_spurious_failure(const Discrepancy&
   if (t == nullptr) return std::nullopt;
 
   if (site.origin == interp::FailureSite::Origin::kAssert) {
-    for (std::size_t i = 0; i < t->body.size(); ++i) {
-      const auto& s = t->body[i];
-      if (s->kind == StmtKind::kAssert && s->error_code == site.error_code && s->expr &&
-          s->expr->to_text() == site.assert_text) {
-        std::string text = s->expr->to_text();
-        t->body.erase(t->body.begin() + static_cast<std::ptrdiff_t>(i));
-        emu_.replace_spec(std::move(spec));
-        return RepairAction{RepairAction::Kind::kDropAssert, site.machine, site.transition,
-                            strf("cloud permits it; dropped assert ", text)};
-      }
-    }
-    return std::nullopt;
+    const spec::Stmt* s = failing_assert(*t, site);
+    if (s == nullptr) return std::nullopt;
+    std::string text = s->expr->to_text();
+    t->body.erase(t->body.begin() + site.stmt);
+    emu_.replace_spec(std::move(spec));
+    return RepairAction{RepairAction::Kind::kDropAssert, site.machine, site.transition,
+                        strf("cloud permits it; dropped assert ", text)};
   }
 
   if (site.origin == interp::FailureSite::Origin::kWriteCheck) {
-    const std::string& var = site.assert_text;  // carries the state var name
+    const std::string& var = site.var;
     if (t->kind == TransitionKind::kDescribe) {
       // Describe must be read-only: strip its writes wholesale.
       spec::Body kept;
@@ -254,25 +261,23 @@ std::optional<RepairAction> Repairer::repair_missing_check(const Discrepancy& d)
 
   switch (d.cls.kind) {
     case ClassKind::kRefAttrSweep: {
-      ensure_code_registered(code);
       auto pred = spec::make_builtin("is_null", [&] {
         std::vector<spec::ExprPtr> v;
         v.push_back(spec::make_field(spec::make_self(), d.cls.sweep_attr));
         return v;
       }());
-      insert_precondition(*t, assert_stmt(std::move(pred), code));
+      if (!insert_precondition(*t, assert_stmt(std::move(pred), code))) return std::nullopt;
       emu_.replace_spec(std::move(spec));
       return RepairAction{RepairAction::Kind::kAddNullGuard, d.cls.machine, d.cls.transition,
                           strf("learned: fails with '", code, "' while '", d.cls.sweep_attr,
                                "' is attached")};
     }
     case ClassKind::kBoolCoupling: {
-      ensure_code_registered(code);
       auto pred = spec::make_binary(
           BinaryOp::kOr,
           spec::make_unary(spec::UnaryOp::kNot, spec::make_var(d.cls.sweep_param)),
           spec::make_field(spec::make_self(), d.cls.sweep_attr));
-      insert_precondition(*t, assert_stmt(std::move(pred), code));
+      if (!insert_precondition(*t, assert_stmt(std::move(pred), code))) return std::nullopt;
       emu_.replace_spec(std::move(spec));
       return RepairAction{
           RepairAction::Kind::kAddBoolCoupling, d.cls.machine, d.cls.transition,
@@ -352,7 +357,6 @@ std::optional<RepairAction> Repairer::repair_missing_check(const Discrepancy& d)
       }
       if (!patched) return std::nullopt;
       // The assert's code may also need the cloud's: adopt it.
-      ensure_code_registered(code);
       for (auto& s : t->body) {
         if (s->kind != StmtKind::kAssert || !s->expr) continue;
         std::string text = s->expr->to_text();
@@ -374,9 +378,8 @@ std::optional<RepairAction> Repairer::repair_missing_check(const Discrepancy& d)
       if (d.cls.kind == ClassKind::kStateSweep) return std::nullopt;
       // Fallback heuristics: dependency-style failures.
       if (code == errc::kDependencyViolation || code == errc::kResourceInUse) {
-        // Is some ref attr attached on the emulator at probe time?
-        emu_failure_at(d);  // replay; emulator state now at post-probe
-        // Re-run prefix only:
+        // Is some ref attr attached on the emulator at probe time? Replay
+        // the prefix only.
         emu_.reset();
         std::vector<ApiResponse> prior;
         for (std::size_t i = 0; i < d.call_index; ++i) {
@@ -393,20 +396,20 @@ std::optional<RepairAction> Repairer::repair_missing_check(const Discrepancy& d)
             if (sv.type.kind != spec::TypeKind::kRef) continue;
             const Value* cur = self->attrs.get(sv.name);
             if (cur == nullptr || cur->is_null()) continue;
-            ensure_code_registered(code);
             auto pred = spec::make_builtin("is_null", [&] {
               std::vector<spec::ExprPtr> v;
               v.push_back(spec::make_field(spec::make_self(), sv.name));
               return v;
             }());
-            insert_precondition(*t, assert_stmt(std::move(pred), code));
+            if (!insert_precondition(*t, assert_stmt(std::move(pred), code))) {
+              return std::nullopt;
+            }
             emu_.replace_spec(std::move(spec));
             return RepairAction{RepairAction::Kind::kAddNullGuard, d.cls.machine,
                                 d.cls.transition,
                                 strf("learned guard on '", sv.name, "' -> '", code, "'")};
           }
           if (emu_.store().child_count(target) != 0) {
-            ensure_code_registered(code);
             auto pred = spec::make_binary(
                 BinaryOp::kEq,
                 spec::make_builtin("child_count", [] {
@@ -415,7 +418,9 @@ std::optional<RepairAction> Repairer::repair_missing_check(const Discrepancy& d)
                   return v;
                 }()),
                 spec::make_literal(Value(0)));
-            insert_precondition(*t, assert_stmt(std::move(pred), code));
+            if (!insert_precondition(*t, assert_stmt(std::move(pred), code))) {
+              return std::nullopt;
+            }
             emu_.replace_spec(std::move(spec));
             return RepairAction{RepairAction::Kind::kAddReclaimGuard, d.cls.machine,
                                 d.cls.transition, strf("learned code '", code, "'")};
@@ -452,7 +457,6 @@ std::vector<RepairAction> Repairer::repair_state_checks(
     StateMachine* m = spec->find_machine(check.machine);
     Transition* t = m != nullptr ? m->find_transition(check.transition) : nullptr;
     if (t == nullptr) continue;
-    ensure_code_registered(code);
     // Literal types follow the swept attribute: bool sweeps compare against
     // true/false values, enum sweeps against member strings.
     const spec::StateVar* sv = m->find_state(check.attr);
@@ -462,8 +466,10 @@ std::vector<RepairAction> Repairer::repair_state_checks(
     for (const auto& v : passing) {
       args.push_back(spec::make_literal(is_bool ? Value(v == "true") : Value(v)));
     }
-    insert_precondition(
-        *t, assert_stmt(spec::make_builtin("in_list", std::move(args)), code));
+    if (!insert_precondition(
+            *t, assert_stmt(spec::make_builtin("in_list", std::move(args)), code))) {
+      continue;
+    }
     actions.push_back(RepairAction{
         RepairAction::Kind::kAddStateCheck, check.machine, check.transition,
         strf("learned: only valid from ", check.attr, " in {", join(passing, ", "),

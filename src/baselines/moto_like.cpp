@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/errors.h"
 #include "common/strings.h"
 
 namespace lce::baselines {
@@ -55,8 +54,6 @@ MotoLike::MotoLike(docs::CloudCatalog catalog, MotoLikeOptions opts)
                  // Moto does not enforce containment reclamation globally.
                  .universal_reclaim_guard = false,
              }) {
-  ErrorRegistry::instance().add("NotImplemented",
-                                "The {api} action has not been implemented.");
   // Select the per-service implemented subset by priority.
   for (const auto& service : inner_.catalog().services) {
     std::size_t budget = SIZE_MAX;
@@ -90,9 +87,9 @@ MotoLike::MotoLike(docs::CloudCatalog catalog, MotoLikeOptions opts)
 
 ApiResponse MotoLike::invoke(const ApiRequest& req) {
   if (implemented_.find(req.api) == implemented_.end()) {
+    // Not a code of the shared error table: only this baseline answers it.
     return ApiResponse::failure(
-        "NotImplemented",
-        ErrorRegistry::instance().render_message("NotImplemented", {{"api", req.api}}));
+        "NotImplemented", strf("The ", req.api, " action has not been implemented."));
   }
   return inner_.invoke(req);
 }

@@ -484,7 +484,7 @@ int run_serve_bench(const ServeBenchOptions& opts) {
   bool ka_pass = !ka_applicable || ka_speedup >= opts.min_keepalive_speedup;
   // Allocs/request is counted, not timed, so it holds on any core count —
   // but it needs the binary's operator-new hook (compiled out under
-  // sanitizers, absent in `lce bench serve`).
+  // sanitizers).
   bool alloc_applicable = opts.enforce && opts.http_sweep && !kSanitized &&
                           opts.alloc_counter != nullptr && opts.max_serve_allocs > 0;
   bool alloc_pass =

@@ -1,7 +1,7 @@
-// The serve-path benchmark driver behind both `bench_serve_throughput`
-// and `lce bench serve`: a closed-loop concurrency sweep comparing the
-// serialized invoke path (a SerializeLayer gate built by hand under
-// validate — the pre-sharding default) against the sharded path
+// The serve-path benchmark driver behind `bench_serve_throughput`: a
+// closed-loop concurrency sweep comparing the serialized invoke path (a
+// SerializeLayer gate built by hand under validate — the pre-sharding
+// default) against the sharded path
 // (build_stack's chain, gate-free over the thread-safe interpreter's own
 // striped locks), followed by an open-loop latency run at a fixed arrival
 // rate. Results print as a table and optionally land in BENCH_serve.json.
@@ -68,9 +68,9 @@ struct ServeBenchOptions {
   /// by design). 0 disables.
   double max_serve_allocs = 16.0;
   /// Process-wide allocation counter, installed by bench_serve_throughput's
-  /// operator-new hook. nullptr (`lce bench serve`, sanitizer builds — the
-  /// hook is compiled out there) self-skips the allocs/request gate with
-  /// the reason recorded in the report's gate_skips.
+  /// operator-new hook. nullptr (sanitizer builds — the hook is compiled
+  /// out there) self-skips the allocs/request gate with the reason
+  /// recorded in the report's gate_skips.
   std::uint64_t (*alloc_counter)() = nullptr;
 };
 

@@ -1,89 +1,58 @@
 #include "common/errors.h"
 
-#include <algorithm>
-
 #include "common/strings.h"
 
 namespace lce {
 
-ErrorRegistry& ErrorRegistry::instance() {
-  static ErrorRegistry reg;
+namespace {
+
+constexpr ErrorSpec kTable[] = {
+    {errc::kDependencyViolation,
+     "The {resource} '{id}' has dependencies and cannot be deleted."},
+    {errc::kIncorrectInstanceState,
+     "The instance '{id}' is not in a state from which it can perform {api}."},
+    {errc::kInvalidParameterValue, "Value ({value}) for parameter {param} is invalid."},
+    {errc::kInvalidSubnetRange,
+     "The CIDR '{value}' is invalid (block size must be /16 to /28)."},
+    {errc::kInvalidSubnetConflict, "The CIDR '{value}' conflicts with another subnet."},
+    {errc::kInvalidVpcRange, "The CIDR '{value}' is invalid (block size must be /16 to /28)."},
+    {errc::kResourceNotFound, "The {resource} '{id}' does not exist."},
+    {errc::kResourceInUse, "The {resource} '{id}' is currently in use."},
+    {errc::kResourceAlreadyExists, "The {resource} '{id}' already exists."},
+    {errc::kLimitExceeded, "You have reached the limit on {resource} resources."},
+    {errc::kInvalidState,
+     "The {resource} '{id}' is in state '{state}'; operation not allowed."},
+    {errc::kZoneMismatch, "Resources must be located in the same zone (got '{value}')."},
+    {errc::kUnsupportedOperation, "The requested operation {api} is not supported."},
+    {errc::kInvalidAction, "The action {api} is not valid for this endpoint."},
+    {errc::kMissingParameter, "The request must contain the parameter {param}."},
+    {errc::kValidationError, "Validation failed for {param}."},
+    {errc::kInternalError, "An internal error has occurred."},
+    {errc::kRequestLimitExceeded, "Request limit exceeded for {api}; retry later."},
+};
+
+}  // namespace
+
+const ErrorRegistry& ErrorRegistry::instance() {
+  static constexpr ErrorRegistry reg;
   return reg;
 }
 
-ErrorRegistry::ErrorRegistry() {
-  auto seed = [this](std::string_view code, std::string msg) {
-    specs_.push_back(ErrorSpec{std::string(code), std::move(msg)});
-  };
-  seed(errc::kDependencyViolation,
-       "The {resource} '{id}' has dependencies and cannot be deleted.");
-  seed(errc::kIncorrectInstanceState,
-       "The instance '{id}' is not in a state from which it can perform {api}.");
-  seed(errc::kInvalidParameterValue, "Value ({value}) for parameter {param} is invalid.");
-  seed(errc::kInvalidSubnetRange, "The CIDR '{value}' is invalid (block size must be /16 to /28).");
-  seed(errc::kInvalidSubnetConflict, "The CIDR '{value}' conflicts with another subnet.");
-  seed(errc::kInvalidVpcRange, "The CIDR '{value}' is invalid (block size must be /16 to /28).");
-  seed(errc::kResourceNotFound, "The {resource} '{id}' does not exist.");
-  seed(errc::kResourceInUse, "The {resource} '{id}' is currently in use.");
-  seed(errc::kResourceAlreadyExists, "The {resource} '{id}' already exists.");
-  seed(errc::kLimitExceeded, "You have reached the limit on {resource} resources.");
-  seed(errc::kInvalidState, "The {resource} '{id}' is in state '{state}'; operation not allowed.");
-  seed(errc::kZoneMismatch, "Resources must be located in the same zone (got '{value}').");
-  seed(errc::kUnsupportedOperation, "The requested operation {api} is not supported.");
-  seed(errc::kInvalidAction, "The action {api} is not valid for this endpoint.");
-  seed(errc::kMissingParameter, "The request must contain the parameter {param}.");
-  seed(errc::kValidationError, "Validation failed for {param}.");
-  seed(errc::kInternalError, "An internal error has occurred.");
-  seed(errc::kRequestLimitExceeded, "Request limit exceeded for {api}; retry later.");
-}
+bool ErrorRegistry::known(std::string_view code) const { return find(code) != nullptr; }
 
-bool ErrorRegistry::add(std::string code, std::string message_template) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (known_locked(code)) return false;
-  specs_.push_back(ErrorSpec{std::move(code), std::move(message_template)});
-  return true;
-}
-
-bool ErrorRegistry::known_locked(std::string_view code) const {
-  return std::any_of(specs_.begin(), specs_.end(),
-                     [&](const ErrorSpec& s) { return s.code == code; });
-}
-
-bool ErrorRegistry::known(std::string_view code) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return known_locked(code);
-}
-
-std::optional<ErrorSpec> ErrorRegistry::find_locked(std::string_view code) const {
-  for (const auto& s : specs_) {
-    if (s.code == code) return s;
+const ErrorSpec* ErrorRegistry::find(std::string_view code) const {
+  for (const ErrorSpec& s : kTable) {
+    if (s.code == code) return &s;
   }
-  return std::nullopt;
-}
-
-std::optional<ErrorSpec> ErrorRegistry::find(std::string_view code) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return find_locked(code);
-}
-
-std::vector<std::string> ErrorRegistry::all_codes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& s : specs_) out.push_back(s.code);
-  return out;
+  return nullptr;
 }
 
 std::string ErrorRegistry::render_message(
     std::string_view code,
     const std::vector<std::pair<std::string, std::string>>& fields) const {
-  std::optional<ErrorSpec> spec;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    spec = find_locked(code);
-  }
-  std::string msg = spec ? spec->message_template
-                         : strf("Request failed with code ", code, ".");
+  const ErrorSpec* spec = find(code);
+  std::string msg = spec != nullptr ? std::string(spec->message_template)
+                                    : strf("Request failed with code ", code, ".");
   for (const auto& [k, v] : fields) {
     msg = replace_all(std::move(msg), "{" + k + "}", v);
   }

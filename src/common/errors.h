@@ -1,13 +1,12 @@
-// Canonical cloud error-code registry. Error *codes* are part of the
-// machine contract (client tooling branches on them), so the registry keeps
-// one authoritative list shared by the reference cloud, the synthesized
-// specs, and the alignment scorer.
+// Canonical cloud error-code table. Error *codes* are part of the machine
+// contract (client tooling branches on them), so the table keeps one
+// authoritative list shared by the reference cloud, the synthesized specs,
+// and the alignment scorer.
 #pragma once
 
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace lce {
@@ -35,40 +34,30 @@ inline constexpr std::string_view kInternalError = "InternalError";
 inline constexpr std::string_view kRequestLimitExceeded = "RequestLimitExceeded";
 }  // namespace errc
 
-/// One registered error code with its default message template. Templates
-/// may contain {placeholders} filled by `render_message`.
+/// One error code with its default message template. Templates may
+/// contain {placeholders} filled by `render_message`.
 struct ErrorSpec {
-  std::string code;
-  std::string message_template;
+  std::string_view code;
+  std::string_view message_template;
 };
 
-/// Process-wide registry (append-only; seeded with the codes above).
-/// Thread-safe: the parallel alignment executor renders error messages
-/// from worker threads while the repair phase may register new codes.
+/// The constant table of the codes above. Nothing adds to it at run time,
+/// so a code's message, and whether a spec check calls it known, depend
+/// only on the code, never on what else the process has constructed.
+/// Safe to read from any thread without a lock.
 class ErrorRegistry {
  public:
-  static ErrorRegistry& instance();
-
-  /// Register `code` if new; returns false when it already existed.
-  bool add(std::string code, std::string message_template);
+  static const ErrorRegistry& instance();
 
   bool known(std::string_view code) const;
-  std::optional<ErrorSpec> find(std::string_view code) const;
-  std::vector<std::string> all_codes() const;
+  /// nullptr when `code` is not in the table.
+  const ErrorSpec* find(std::string_view code) const;
 
   /// Fill {name} placeholders in the code's template from pairs; unknown
   /// codes yield a generic message.
   std::string render_message(
       std::string_view code,
       const std::vector<std::pair<std::string, std::string>>& fields) const;
-
- private:
-  ErrorRegistry();
-  bool known_locked(std::string_view code) const;
-  std::optional<ErrorSpec> find_locked(std::string_view code) const;
-
-  mutable std::mutex mu_;
-  std::vector<ErrorSpec> specs_;
 };
 
 }  // namespace lce

@@ -10,7 +10,8 @@ LearnedEmulator LearnedEmulator::from_docs(const docs::DocCorpus& corpus,
   interp::InterpreterOptions iopts;
   iopts.name = opts.name;
   iopts.use_plan = opts.use_plan;
-  if (opts.rich_messages) iopts.decoder = interp::make_rich_decoder();
+  // Error messages carry root-cause hints (§4.3's "richer" replies).
+  iopts.decoder = interp::make_rich_decoder();
   e.backend_ = std::make_unique<interp::Interpreter>(e.synthesis_.spec.clone(), iopts);
   return e;
 }

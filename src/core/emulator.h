@@ -22,8 +22,6 @@ namespace lce::core {
 
 struct PipelineOptions {
   synth::SynthesisOptions synthesis;
-  /// Enrich error messages with root-cause hints (§4.3's "richer" replies).
-  bool rich_messages = true;
   /// Serve through the compiled execution plan (InterpreterOptions::
   /// use_plan); off = the tree-walking reference path, for debugging and
   /// differential testing.

@@ -15,11 +15,14 @@
 
 namespace lce::interp::internal {
 
-/// Thrown (as a value) to abort a transition; carries the response plus
-/// the diagnosis breadcrumb.
+/// Maximum call() nesting before a transition aborts with InternalError.
+inline constexpr int kMaxCallDepth = 16;
+
+/// Thrown (as a value) to abort a transition; carries the response. The
+/// executor writes the failure site straight to the caller's FailureSite,
+/// when one was asked for, before throwing.
 struct Abort {
   ApiResponse response;
-  FailureSite site;
 };
 
 /// Shards of every ref nested anywhere in an argument value.

@@ -36,15 +36,19 @@ using spec::UnaryOp;
 // enforces it).
 class Execution {
  public:
-  Execution(const spec::SpecSet& spec, const InterpreterOptions& opts, ResourceStore& store)
-      : spec_(spec), opts_(opts), store_(store) {}
+  /// `where` (may be null) receives the failure site; the caller has
+  /// reset it.
+  Execution(const spec::SpecSet& spec, const InterpreterOptions& opts, ResourceStore& store,
+            FailureSite* where)
+      : spec_(spec), opts_(opts), store_(store), where_(where) {}
 
-  ApiResponse run(const ApiRequest& req, FailureSite& site_out) {
-    site_out = FailureSite{};
+  ApiResponse run(const ApiRequest& req) {
     auto [machine, transition] = spec_.find_api(req.api);
     if (machine == nullptr || transition == nullptr) {
-      site_out.origin = FailureSite::Origin::kDispatch;
-      site_out.error_code = std::string(errc::kInvalidAction);
+      if (where_ != nullptr) {
+        where_->origin = FailureSite::Origin::kDispatch;
+        where_->error_code = std::string(errc::kInvalidAction);
+      }
       return fail("", "", std::string(errc::kInvalidAction), {{"api", req.api}});
     }
 
@@ -88,12 +92,11 @@ class Execution {
       ApiResponse resp = run_transition(*machine, *transition, &req.args, nullptr, target);
       commit_timers();
       return resp;
-    } catch (const Abort& a) {
+    } catch (Abort& a) {
       // Transactional semantics: a failed transition must leave no
       // partial writes behind. Undo in reverse under the locks we hold.
       journal_.rollback(store_);
-      site_out = a.site;
-      return a.response;
+      return std::move(a.response);
     }
   }
 
@@ -111,18 +114,20 @@ class Execution {
                                const std::string& machine, const std::string& transition,
                                std::string note = "",
                                FailureSite::Origin origin = FailureSite::Origin::kDispatch,
-                               std::string assert_text = "") {
+                               std::string_view var = {}) {
     std::string msg = note.empty()
                           ? ErrorRegistry::instance().render_message(code, fields)
                           : note;
     if (opts_.decoder) msg = opts_.decoder(machine, transition, code, msg);
-    FailureSite site;
-    site.machine = machine;
-    site.transition = transition;
-    site.error_code = code;
-    site.assert_text = std::move(assert_text);
-    site.origin = origin;
-    throw Abort{ApiResponse::failure(std::move(code), std::move(msg)), std::move(site)};
+    if (where_ != nullptr) {
+      where_->machine = machine;
+      where_->transition = transition;
+      where_->error_code = code;
+      where_->stmt = stmt_;
+      where_->var = var;
+      where_->origin = origin;
+    }
+    throw Abort{ApiResponse::failure(std::move(code), std::move(msg))};
   }
 
   ApiResponse fail(const std::string& machine, const std::string& transition, std::string code,
@@ -178,7 +183,11 @@ class Execution {
   ApiResponse run_transition(const StateMachine& machine, const Transition& transition,
                              const Value::Map* named, std::vector<Value>* positional,
                              const std::string& target) {
-    if (++depth_ > opts_.max_call_depth) {
+    // A sub-call returns here mid-statement: restore the caller's index so
+    // a later abort in that statement still reports it.
+    const int caller_stmt = stmt_;
+    stmt_ = -1;
+    if (++depth_ > internal::kMaxCallDepth) {
       abort_with(std::string(errc::kInternalError), {}, machine.name, transition.name,
                  "call depth limit exceeded", FailureSite::Origin::kFramework);
     }
@@ -197,14 +206,10 @@ class Execution {
         src = &(*positional)[i];
       }
       if (src == nullptr) {
-        if (opts_.validate_params) {
-          abort_with(std::string(errc::kMissingParameter), {{"param", p.name}}, machine.name,
-                     transition.name);
-        }
-        frame.params[p.name] = Value();
-        continue;
+        abort_with(std::string(errc::kMissingParameter), {{"param", p.name}}, machine.name,
+                   transition.name);
       }
-      if (opts_.validate_params && !src->is_null() && !p.type.admits(*src)) {
+      if (!src->is_null() && !p.type.admits(*src)) {
         abort_with(std::string(errc::kInvalidParameterValue),
                    {{"param", p.name}, {"value", src->to_text()}}, machine.name,
                    transition.name);
@@ -233,7 +238,11 @@ class Execution {
     }
     std::string self_id = frame.self->id;
 
-    exec_body(transition.body, frame);
+    for (std::size_t i = 0; i < transition.body.size(); ++i) {
+      stmt_ = static_cast<int>(i);
+      exec_stmt(*transition.body[i], frame);
+    }
+    stmt_ = -1;
 
     // Built-in hierarchy guards (paper §1).
     if (opts_.hierarchy_guards) {
@@ -284,6 +293,7 @@ class Execution {
       if (machine.has_timers()) timer_touched_.emplace_back(self_id, &machine);
     }
     --depth_;
+    stmt_ = caller_stmt;
     return ApiResponse::success(Value(std::move(data)));
   }
 
@@ -335,8 +345,7 @@ class Execution {
                       {"api", tname},
                       {"param", param},
                       {"value", value}},
-                     mname, tname, s.error_note, FailureSite::Origin::kAssert,
-                     s.expr->to_text());
+                     mname, tname, s.error_note, FailureSite::Origin::kAssert);
         }
         return;
       }
@@ -366,9 +375,8 @@ class Execution {
         std::vector<Value> args;
         args.reserve(argc);
         for (std::size_t i = 0; i < argc; ++i) args.push_back(eval(*s.args[i], frame));
-        ApiResponse resp =
-            run_transition(*callee_m, *callee_t, nullptr, &args, callee_res->id);
-        if (!resp.ok) throw Abort{resp, {}};  // propagate (already decoded)
+        // A failing callee throws its own Abort, which propagates.
+        run_transition(*callee_m, *callee_t, nullptr, &args, callee_res->id);
         return;
       }
       case StmtKind::kAttachParent: {
@@ -548,10 +556,14 @@ class Execution {
   const spec::SpecSet& spec_;
   const InterpreterOptions& opts_;
   ResourceStore& store_;
+  FailureSite* where_;
   UndoJournal journal_;
   LockMode mode_ = LockMode::kWriteAll;
   std::string preminted_;  // create id minted before locking (kWriteLocal)
   int depth_ = 0;
+  // Top-level body index of the running transition's current statement;
+  // -1 outside its body (see FailureSite::stmt).
+  int stmt_ = -1;
   // Resources whose timer clauses need commit-time reconciliation, in
   // touch order (empty for machines without `after` clauses).
   std::vector<std::pair<std::string, const StateMachine*>> timer_touched_;
@@ -581,29 +593,26 @@ void Interpreter::rebuild_dispatch() {
   plan_ = opts_.use_plan ? plan::ExecutionPlan::build(spec_) : nullptr;
 }
 
-ApiResponse Interpreter::invoke(const ApiRequest& req) {
+ApiResponse Interpreter::invoke(const ApiRequest& req, FailureSite* where) {
+  if (where != nullptr) *where = FailureSite{};
   if (req.api == timers::kAdvanceClockApi) return advance_clock(req);
-  FailureSite site;
+  auto run = [&] {
+    return plan_ != nullptr ? plan::run_plan(*plan_, opts_, store_, req, where)
+                            : Execution(spec_, opts_, store_, where).run(req);
+  };
+  if (detail::current_arena() != nullptr) return run();
+  // Request-scoped arena: every transient Value rep block this invoke
+  // builds on this thread is bump-allocated and reclaimed in one reset.
+  // Store writes detach at the write site; the response detaches here,
+  // after which no arena-backed Value survives.
+  static thread_local Arena arena;
   ApiResponse resp;
-  if (detail::current_arena() == nullptr) {
-    // Request-scoped arena: every transient Value rep block this invoke
-    // builds on this thread is bump-allocated and reclaimed in one reset.
-    // Store writes detach at the write site; the response detaches here,
-    // after which no arena-backed Value survives.
-    static thread_local Arena arena;
-    {
-      ArenaScope scope(arena);
-      resp = plan_ != nullptr ? plan::run_plan(*plan_, opts_, store_, req, site)
-                              : Execution(spec_, opts_, store_).run(req, site);
-      resp.data.detach();
-    }
-    arena.reset();
-  } else {
-    resp = plan_ != nullptr ? plan::run_plan(*plan_, opts_, store_, req, site)
-                            : Execution(spec_, opts_, store_).run(req, site);
+  {
+    ArenaScope scope(arena);
+    resp = run();
+    resp.data.detach();
   }
-  std::lock_guard<std::mutex> lock(*failure_mu_);
-  last_failure_ = std::move(site);
+  arena.reset();
   return resp;
 }
 
@@ -655,8 +664,6 @@ ApiResponse Interpreter::advance_clock(const ApiRequest& req) {
   data["failed"] = Value(failed);
   data["fired"] = Value(fired);
   data["now"] = Value(static_cast<std::int64_t>(store_.timers().now()));
-  std::lock_guard<std::mutex> lock(*failure_mu_);
-  last_failure_ = FailureSite{};
   return ApiResponse::success(Value(std::move(data)));
 }
 
@@ -688,11 +695,6 @@ bool Interpreter::read_only_api(const std::string& api) const {
          plan::classify_transition(*transition).mode == LockMode::kReadShared;
 }
 
-FailureSite Interpreter::last_failure() const {
-  std::lock_guard<std::mutex> lock(*failure_mu_);
-  return last_failure_;
-}
-
 void Interpreter::replace_spec(spec::SpecSet spec) {
   spec_ = std::move(spec);
   // Rebuilding bumps the plan epoch, so every Resource slot cache built
@@ -707,8 +709,6 @@ std::unique_ptr<CloudBackend> Interpreter::clone() const {
     auto guard = store_.locks().lock_shared_all();
     copy->store_ = store_.clone();
   }
-  std::lock_guard<std::mutex> lock(*failure_mu_);
-  copy->last_failure_ = last_failure_;
   return copy;
 }
 

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "common/api.h"
@@ -32,10 +31,6 @@ struct InterpreterOptions {
   /// Enforce the built-in hierarchy guards even when the spec omits the
   /// corresponding asserts (defence in depth per §1).
   bool hierarchy_guards = true;
-  /// Maximum call() nesting before aborting with InternalError.
-  int max_call_depth = 16;
-  /// Validate argument presence/types against transition signatures.
-  bool validate_params = true;
   /// Compile the spec into an immutable ExecutionPlan (src/interp/plan)
   /// at construction and after every replace_spec, and serve invokes
   /// through it: interned-symbol dispatch, cached lock plans, slot-
@@ -51,19 +46,29 @@ struct InterpreterOptions {
 
 /// Where inside the spec a failing invocation aborted — the diagnosis
 /// breadcrumb the alignment loop uses to localize errors "to a specific SM
-/// implementation, a specific interaction" (paper §4.3).
+/// implementation, a specific interaction" (paper §4.3). Returned by the
+/// located Interpreter::invoke overload to the caller that asks for it.
 struct FailureSite {
   std::string machine;
   std::string transition;
   std::string error_code;
-  std::string assert_text;  // predicate text when an assert fired; "" else
+  /// Index, in the failing transition's top-level body, of the statement
+  /// that aborted or that contains the abort (an assert inside an `if`
+  /// reports the `if`). -1 when the abort came from outside the body:
+  /// dispatch before it runs, the framework's guards after it, and the
+  /// call-depth limit. Plan and tree executors report the same index: the
+  /// compiler keeps one compiled statement per source statement, in order.
+  int stmt = -1;
+  std::string var;  // kWriteCheck: the state variable written; "" else
   enum class Origin {
-    kNone,         // last invoke succeeded
+    kNone,         // the invoke succeeded
     kDispatch,     // unknown API / missing target / param validation
     kAssert,       // a spec assert fired
     kWriteCheck,   // a write violated the state variable's type
     kFramework,    // built-in hierarchy guard or internal error
   } origin = Origin::kNone;
+
+  bool operator==(const FailureSite&) const = default;
 };
 
 /// The interpreter is a concurrent backend: every invoke() classifies its
@@ -80,7 +85,13 @@ class Interpreter final : public CloudBackend {
   explicit Interpreter(spec::SpecSet spec, InterpreterOptions opts = {});
 
   std::string name() const override { return opts_.name; }
-  ApiResponse invoke(const ApiRequest& req) override;
+  /// Serve path: no failure site is built.
+  ApiResponse invoke(const ApiRequest& req) override { return invoke(req, nullptr); }
+  /// Located invoke: when `where` is non-null it receives this call's
+  /// failure site (origin kNone on success, and always for
+  /// `_AdvanceClock`). Each caller gets its own call's site, so
+  /// concurrent located invokes never see each other's.
+  ApiResponse invoke(const ApiRequest& req, FailureSite* where);
   void reset() override;
   bool supports(const std::string& api) const override;
   Value snapshot() const override;
@@ -106,12 +117,6 @@ class Interpreter final : public CloudBackend {
   ResourceStore& store() { return store_; }
   const ResourceStore& store() const { return store_; }
 
-  /// Breadcrumb for the most recent invoke(); origin kNone when it
-  /// succeeded. Under concurrent invokes "most recent" follows the
-  /// internal commit order — diagnosis consumers (the alignment loop)
-  /// call serially.
-  FailureSite last_failure() const;
-
  private:
   /// Clone path: shares the already-built plan instead of recompiling.
   Interpreter(spec::SpecSet spec, InterpreterOptions opts,
@@ -134,10 +139,6 @@ class Interpreter final : public CloudBackend {
   // never mutate once published.
   std::shared_ptr<const plan::ExecutionPlan> plan_;
   ResourceStore store_;
-  FailureSite last_failure_;
-  // unique_ptr keeps the Interpreter movable (guaranteed-elision callers
-  // and by-value factories in tests stay valid).
-  std::unique_ptr<std::mutex> failure_mu_ = std::make_unique<std::mutex>();
 };
 
 }  // namespace lce::interp

@@ -53,15 +53,16 @@ struct PlanFrame {
 class PlanExecution {
  public:
   PlanExecution(const ExecutionPlan& plan, const InterpreterOptions& opts,
-                ResourceStore& store)
-      : plan_(plan), opts_(opts), store_(store) {}
+                ResourceStore& store, FailureSite* where)
+      : plan_(plan), opts_(opts), store_(store), where_(where) {}
 
-  ApiResponse run(const ApiRequest& req, FailureSite& site_out) {
-    site_out = FailureSite{};
+  ApiResponse run(const ApiRequest& req) {
     const CompiledTransition* ct = plan_.find_api(req.api);
     if (ct == nullptr) {
-      site_out.origin = FailureSite::Origin::kDispatch;
-      site_out.error_code = std::string(errc::kInvalidAction);
+      if (where_ != nullptr) {
+        where_->origin = FailureSite::Origin::kDispatch;
+        where_->error_code = std::string(errc::kInvalidAction);
+      }
       return fail("", "", std::string(errc::kInvalidAction), {{"api", req.api}});
     }
 
@@ -111,12 +112,11 @@ class PlanExecution {
                                         &req.args, nullptr, target);
       commit_timers();
       return resp;
-    } catch (const Abort& a) {
+    } catch (Abort& a) {
       // Transactional semantics: a failed transition must leave no
       // partial writes behind. Undo in reverse under the locks we hold.
       journal_.rollback(store_);
-      site_out = a.site;
-      return a.response;
+      return std::move(a.response);
     }
   }
 
@@ -126,18 +126,20 @@ class PlanExecution {
                                const std::string& machine, const std::string& transition,
                                std::string note = "",
                                FailureSite::Origin origin = FailureSite::Origin::kDispatch,
-                               std::string assert_text = "") {
+                               std::string_view var = {}) {
     std::string msg = note.empty()
                           ? ErrorRegistry::instance().render_message(code, fields)
                           : note;
     if (opts_.decoder) msg = opts_.decoder(machine, transition, code, msg);
-    FailureSite site;
-    site.machine = machine;
-    site.transition = transition;
-    site.error_code = code;
-    site.assert_text = std::move(assert_text);
-    site.origin = origin;
-    throw Abort{ApiResponse::failure(std::move(code), std::move(msg)), std::move(site)};
+    if (where_ != nullptr) {
+      where_->machine = machine;
+      where_->transition = transition;
+      where_->error_code = code;
+      where_->stmt = stmt_;
+      where_->var = var;
+      where_->origin = origin;
+    }
+    throw Abort{ApiResponse::failure(std::move(code), std::move(msg))};
   }
 
   ApiResponse fail(const std::string& machine, const std::string& transition, std::string code,
@@ -200,7 +202,11 @@ class PlanExecution {
                              const std::string& target) {
     const StateMachine& machine = *ct.machine;
     const std::string& tname = ct.src->name;
-    if (++depth_ > opts_.max_call_depth) {
+    // A sub-call returns here mid-statement: restore the caller's index so
+    // a later abort in that statement still reports it.
+    const int caller_stmt = stmt_;
+    stmt_ = -1;
+    if (++depth_ > internal::kMaxCallDepth) {
       abort_with(std::string(errc::kInternalError), {}, machine.name, tname,
                  "call depth limit exceeded", FailureSite::Origin::kFramework);
     }
@@ -220,13 +226,10 @@ class PlanExecution {
         src = &(*positional)[i];
       }
       if (src == nullptr) {
-        if (opts_.validate_params) {
-          abort_with(std::string(errc::kMissingParameter), {{"param", *p.name}},
-                     machine.name, tname);
-        }
-        continue;  // slot stays null
+        abort_with(std::string(errc::kMissingParameter), {{"param", *p.name}},
+                   machine.name, tname);
       }
-      if (opts_.validate_params && !src->is_null() && !p.type->admits(*src)) {
+      if (!src->is_null() && !p.type->admits(*src)) {
         abort_with(std::string(errc::kInvalidParameterValue),
                    {{"param", *p.name}, {"value", src->to_text()}}, machine.name,
                    tname);
@@ -270,7 +273,13 @@ class PlanExecution {
     if (!self_stable) self_id_storage = frame.self->id;
     const std::string& self_id = self_stable ? frame.self->id : self_id_storage;
 
-    exec_body(ct.body, frame);
+    // One compiled statement per source statement, in order, so this
+    // index is the tree-walk's too.
+    for (std::size_t i = 0; i < ct.body.size(); ++i) {
+      stmt_ = static_cast<int>(i);
+      exec_stmt(ct.body[i], frame);
+    }
+    stmt_ = -1;
 
     // Built-in hierarchy guards (paper §1).
     if (opts_.hierarchy_guards) {
@@ -334,6 +343,7 @@ class PlanExecution {
       if (mp.has_timers) timer_touched_.emplace_back(self_id, &machine);
     }
     --depth_;
+    stmt_ = caller_stmt;
     return ApiResponse::success(std::move(data));
   }
 
@@ -385,8 +395,7 @@ class PlanExecution {
                       {"api", tname},
                       {"param", param},
                       {"value", value}},
-                     mname, tname, *s.error_note, FailureSite::Origin::kAssert,
-                     s.assert_text);
+                     mname, tname, *s.error_note, FailureSite::Origin::kAssert);
         }
         return;
       }
@@ -416,9 +425,8 @@ class PlanExecution {
         ValueVec args;
         args.reserve(argc);
         for (std::size_t i = 0; i < argc; ++i) args.push_back(eval(s.args[i], frame));
-        ApiResponse resp = run_transition(*callee_mp, *callee_ct, nullptr, &args,
-                                          callee_res->id);
-        if (!resp.ok) throw Abort{resp, {}};  // propagate (already decoded)
+        // A failing callee throws its own Abort, which propagates.
+        run_transition(*callee_mp, *callee_ct, nullptr, &args, callee_res->id);
         return;
       }
       case spec::StmtKind::kAttachParent: {
@@ -668,10 +676,12 @@ class PlanExecution {
   const ExecutionPlan& plan_;
   const InterpreterOptions& opts_;
   ResourceStore& store_;
+  FailureSite* where_;
   UndoJournal journal_;
   LockMode mode_ = LockMode::kWriteAll;
   std::string preminted_;  // create id minted before locking (kWriteLocal)
   int depth_ = 0;
+  int stmt_ = -1;  // see the tree-walk's Execution::stmt_
   ValueVec stack_;  // reused expression value stack
   // Resources whose timer clauses need commit-time reconciliation, in
   // touch order (empty for machines without `after` clauses). Plain heap
@@ -682,8 +692,8 @@ class PlanExecution {
 }  // namespace
 
 ApiResponse run_plan(const ExecutionPlan& plan, const InterpreterOptions& opts,
-                     ResourceStore& store, const ApiRequest& req, FailureSite& site_out) {
-  return PlanExecution(plan, opts, store).run(req, site_out);
+                     ResourceStore& store, const ApiRequest& req, FailureSite* where) {
+  return PlanExecution(plan, opts, store, where).run(req);
 }
 
 }  // namespace lce::interp::plan

@@ -12,9 +12,10 @@
 namespace lce::interp::plan {
 
 /// Execute one request against `store` under `plan`. Takes/releases shard
-/// locks per the transition's cached lock plan, rolls back on abort, and
-/// fills `site_out` with the failure breadcrumb (origin kNone on success).
+/// locks per the transition's cached lock plan, rolls back on abort, and,
+/// when `where` is non-null, fills the failure breadcrumb on failure (the
+/// caller resets it, so it reads origin kNone on success).
 ApiResponse run_plan(const ExecutionPlan& plan, const InterpreterOptions& opts,
-                     ResourceStore& store, const ApiRequest& req, FailureSite& site_out);
+                     ResourceStore& store, const ApiRequest& req, FailureSite* where);
 
 }  // namespace lce::interp::plan

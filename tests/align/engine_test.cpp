@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+
 #include "align/fuzz.h"
 #include "cloud/reference_cloud.h"
 #include "docs/corpus.h"
@@ -204,6 +208,58 @@ TEST(Alignment, RepairsSurvivingLlmNoise) {
   ASSERT_GE(report.rounds.size(), 2u);
   EXPECT_LT(report.rounds.back().discrepancies, report.rounds.front().discrepancies);
   EXPECT_FALSE(report.repairs.empty());
+}
+
+/// AWS docs with defects at rate 0.25 (seed 3) under synthesis noise
+/// 0.25, aligned with 2 workers. Without the duplicate check, its repairs
+/// re-insert asserts the spec already holds round after round (113
+/// duplicates after 6 rounds), and round 2 still repairs, so a 2-round
+/// budget ends the loop.
+std::unique_ptr<interp::Interpreter> heavily_degraded_aws() {
+  docs::CloudCatalog defective = docs::build_aws_catalog();
+  Rng rng(3);
+  docs::inject_defects(defective, 0.25, rng);
+  return make_emulator(docs::render_corpus(defective), /*noise=*/0.25);
+}
+
+TEST(Alignment, RepairsNeverDuplicateAnAssert) {
+  cloud::ReferenceCloud cloud(docs::build_aws_catalog());
+  auto emu = heavily_degraded_aws();
+  AlignmentOptions opts;
+  opts.workers = 2;
+  AlignmentEngine(*emu, cloud, opts).run();
+  std::size_t duplicates = 0;
+  for (const auto& m : emu->spec().machines) {
+    for (const auto& t : m.transitions) {
+      std::set<std::pair<std::string, std::string>> seen;
+      for (const auto& s : t.body) {
+        if (s->kind == spec::StmtKind::kAssert &&
+            !seen.emplace(s->error_code, s->expr->to_text()).second) {
+          ++duplicates;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(duplicates, 0u);
+}
+
+TEST(Alignment, RoundBudgetReportsWhatStillDiverges) {
+  cloud::ReferenceCloud cloud(docs::build_aws_catalog());
+  auto emu = heavily_degraded_aws();
+  AlignmentOptions opts;
+  opts.workers = 2;
+  opts.max_rounds = 2;
+  auto report = AlignmentEngine(*emu, cloud, opts).run();
+  ASSERT_EQ(report.rounds.size(), 2u);
+  EXPECT_GT(report.rounds.back().repairs, 0u);
+  EXPECT_FALSE(report.converged);
+  EXPECT_FALSE(report.unrepaired.empty());
+  for (const auto& d : report.unrepaired) {
+    GenTrace probe;
+    probe.trace = d.trace;
+    probe.cls = d.cls;
+    EXPECT_TRUE(diff_trace(cloud, *emu, probe).has_value()) << d.to_text();
+  }
 }
 
 TEST(Alignment, DetectionOnlyModeLeavesSpecUntouched) {

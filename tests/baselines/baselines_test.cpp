@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 
 #include "baselines/d2c.h"
 #include "baselines/moto_like.h"
 #include "docs/corpus.h"
 #include "docs/render.h"
+#include "interp/interpreter.h"
+#include "spec/checks.h"
+#include "spec/parser.h"
 
 namespace lce::baselines {
 namespace {
@@ -41,6 +45,38 @@ TEST(MotoLike, UnimplementedApiReturnsNotImplemented) {
   auto r = moto.invoke(ApiRequest{"DeleteFirewall", {}, ""});
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.code, "NotImplemented");
+  EXPECT_EQ(r.message, "The DeleteFirewall action has not been implemented.");
+}
+
+TEST(MotoLike, ConstructionLeavesErrorTableUnchanged) {
+  // NotImplemented is the baseline's own code, not the error table's. A
+  // spec that uses it gets the same check findings and the same message
+  // whether or not a MotoLike was built earlier in the process.
+  auto probe = [] {
+    spec::ParseError err;
+    auto spec = spec::parse_spec(R"(
+      sm Widget {
+        states { }
+        transitions {
+          create CreateWidget() { assert(false) else NotImplemented; }
+        }
+      })",
+                                 &err);
+    EXPECT_TRUE(spec.has_value()) << err.to_text();
+    if (!spec) return std::pair<std::size_t, std::string>{};
+    std::size_t unknown = 0;
+    for (const auto& issue : spec::run_checks(*spec).issues) {
+      if (issue.kind == spec::CheckKind::kUnknownErrorCode) ++unknown;
+    }
+    interp::Interpreter it(std::move(*spec));
+    return std::pair{unknown, it.invoke(ApiRequest{"CreateWidget", {}, ""}).message};
+  };
+  auto before = probe();
+  auto moto = make_moto();
+  auto after = probe();
+  EXPECT_EQ(before.first, 1u);
+  EXPECT_EQ(before.second, "Request failed with code NotImplemented.");
+  EXPECT_EQ(after, before);
 }
 
 TEST(MotoLike, DeleteVpcBugReproduced) {

@@ -31,12 +31,6 @@ TEST(Errors, RenderMessageUnknownCodeFallsBack) {
   EXPECT_NE(msg.find("Weird.Code"), std::string::npos);
 }
 
-TEST(Errors, AddIsIdempotentPerCode) {
-  auto& reg = ErrorRegistry::instance();
-  EXPECT_TRUE(reg.add("Test.OnlyOnce", "msg"));
-  EXPECT_FALSE(reg.add("Test.OnlyOnce", "other"));
-}
-
 TEST(Ids, SequentialPerPrefix) {
   IdGenerator gen;
   EXPECT_EQ(gen.next("vpc"), "vpc-00000001");

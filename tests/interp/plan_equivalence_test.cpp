@@ -41,19 +41,43 @@ docs::DocCorpus defective_aws() {
   return docs::render_corpus(defective);
 }
 
+/// run_trace through the located overload: each call's response and
+/// failure site.
+struct LocatedCall {
+  ApiResponse response;
+  interp::FailureSite site;
+};
+std::vector<LocatedCall> run_located(interp::Interpreter& it, const Trace& trace) {
+  it.reset();
+  std::vector<ApiResponse> prior;
+  std::vector<LocatedCall> out;
+  for (const auto& call : trace.calls) {
+    LocatedCall c;
+    c.response = it.invoke(resolve_placeholders(call, prior), &c.site);
+    prior.push_back(c.response);
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
 // Run every suite trace on both interpreters and require byte-identical
-// responses and (after each trace) byte-identical persist dumps — the
-// strongest externally observable statement that the plan path left the
-// Value::Map source of truth untouched.
+// responses, equal failure sites and (after each trace) byte-identical
+// persist dumps — the strongest externally observable statement that the
+// plan path left the Value::Map source of truth untouched.
 void expect_traces_identical(interp::Interpreter& with_plan, interp::Interpreter& tree,
                              const core::ScenarioSuite& suite) {
   for (const auto& entry : suite.entries) {
-    auto a = run_trace(with_plan, entry.trace);
-    auto b = run_trace(tree, entry.trace);
+    auto a = run_located(with_plan, entry.trace);
+    auto b = run_located(tree, entry.trace);
     ASSERT_EQ(a.size(), b.size()) << entry.trace.label;
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].to_text(), b[i].to_text())
+      EXPECT_EQ(a[i].response.to_text(), b[i].response.to_text())
           << entry.trace.label << " call " << i;
+      EXPECT_TRUE(a[i].site == b[i].site)
+          << entry.trace.label << " call " << i << ": plan " << a[i].site.machine
+          << "::" << a[i].site.transition << " stmt " << a[i].site.stmt << ", tree "
+          << b[i].site.machine << "::" << b[i].site.transition << " stmt "
+          << b[i].site.stmt;
     }
     EXPECT_EQ(persist::serialize_store(with_plan.store()),
               persist::serialize_store(tree.store()))

@@ -38,11 +38,6 @@
 //   lce trace import <in.lcw> <out-script>
 //                                    convert between trace scripts and the
 //                                    binary WAL/trace record format
-//   lce bench serve [flags]          serve-path throughput benchmark:
-//                                    sharded vs serialized invoke under a
-//                                    mixed create/mutate/describe load
-//                                    (flags: see `lce bench serve --help`
-//                                    or src/bench/serve_bench.h)
 //   lce coverage                     Table-1 style coverage report
 //
 // provider: aws (default) | azure. Scripts: see src/core/trace_script.h.
@@ -57,7 +52,6 @@
 #include <thread>
 
 #include "align/engine.h"
-#include "bench/serve_bench.h"
 #include "persist/journal.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
@@ -109,14 +103,8 @@ bool parse_u64(std::string_view text, std::uint64_t& out) {
 }
 
 int usage() {
-  std::cerr << "usage: lce <docs|spec|run|diff|align|serve|snapshot|replay|trace|bench|coverage> [args]\n"
+  std::cerr << "usage: lce <docs|spec|run|diff|align|serve|snapshot|replay|trace|coverage> [args]\n"
                "  lce docs [aws|azure] [Resource]\n"
-               "  lce bench serve [--quick] [--json FILE] [--ops N]\n"
-               "                  [--concurrency a,b,c] [--rate R] [--seed N]\n"
-               "                  [--min-speedup X] [--no-enforce]\n"
-               "                  [--max-serve-allocs N]\n"
-               "      open-loop serve benchmark: sharded interpreter invoke vs\n"
-               "      the SerializeLayer path; writes BENCH_serve.json\n"
                "  lce spec [aws|azure]\n"
                "  lce run <script-file> [aws|azure]\n"
                "  lce diff <script-file> [aws|azure]\n"
@@ -632,12 +620,6 @@ int main(int argc, char** argv) {
     std::cout << "imported " << trace.calls.size() << " call(s) to " << out_path
               << "\n";
     return 0;
-  }
-  if (cmd == "bench") {
-    if (argc < 3 || std::string(argv[2]) != "serve") return usage();
-    bench::ServeBenchOptions bopts;
-    if (!bench::parse_serve_bench_args(argc - 3, argv + 3, bopts)) return 2;
-    return bench::run_serve_bench(bopts);
   }
   if (cmd == "coverage") {
     auto catalog = docs::build_aws_catalog();
