@@ -3,9 +3,11 @@
 // bench runs the full repair loop on the learn-align configuration (AWS
 // docs with defects at rate 0.12, seed 31337, synthesis noise 0.10) and
 // reports each round's split: trace generation, the differential pass and
-// repair. Generation and the pass run on `workers` threads; repair is
-// serial, because every repair edits the spec, recompiles the plan and
-// re-verifies against it, so repair time bounds the speedup.
+// repair, and how many traces each pass replayed (rounds after the first
+// replay only what last round's repairs can change). Generation and the
+// pass run on `workers` threads; repair is serial, because every repair
+// edits the spec, recompiles the plan and re-verifies against it, so
+// repair time bounds the speedup.
 //
 // Exit status reflects ONLY the determinism check: every worker count must
 // produce a report byte-identical to the serial engine's. Timings are
@@ -108,10 +110,12 @@ int main() {
       summed.push_back(sum);
     }
 
-    TextTable table({"round", "traces", "repairs", "gen ms", "diff ms", "repair ms"});
+    TextTable table(
+        {"round", "traces", "replayed", "repairs", "gen ms", "diff ms", "repair ms"});
     for (std::size_t i = 0; i < per_round.size(); ++i) {
       Phases m = median_of(per_round[i]);
       table.add_row({std::to_string(i + 1), std::to_string(report.rounds[i].traces),
+                     std::to_string(report.rounds[i].traces_replayed),
                      std::to_string(report.rounds[i].repairs), fixed(m.gen, 1),
                      fixed(m.diff, 1), fixed(m.repair, 1)});
     }

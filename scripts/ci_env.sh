@@ -25,7 +25,11 @@
 #                        ensure/cancel/advance races in time_test),
 #                        and the located-invoke suite ("FailureSite":
 #                        threads sharing one interpreter must each get
-#                        their own call's failure site).
+#                        their own call's failure site), and the
+#                        round-reuse goldens ("ReuseGolden": six
+#                        configurations aligned at 1 and 2 workers; the
+#                        subset-replay and reuse-count suites already
+#                        match "Parallel").
 #                        The fork-based CrashTorture tests self-skip
 #                        under TSan. `lce` is built too because "Wire",
 #                        "Fault" and "Snapshot" also select LceCli usage
@@ -33,7 +37,7 @@
 #                        ServeRejectsNonNumericFaultSeed, ...), which run
 #                        the CLI.
 export LCE_TSAN_TEST_TARGETS="common_test value_fuzz_test align_test interp_test cloud_test stack_test server_test persist_test plan_test time_test lce"
-export LCE_TSAN_TEST_REGEX='Parallel|Fuzz|Clone|Stack|Hammer|Fault|Layer|Shard|Wal|Journal|Snapshot|Recovery|Replay|Durable|Plan|HttpParser|Torture|SlowLoris|KeepAlive|Endpoint|Wire|FailureSite'
+export LCE_TSAN_TEST_REGEX='Parallel|Fuzz|Clone|Stack|Hammer|Fault|Layer|Shard|Wal|Journal|Snapshot|Recovery|Replay|Durable|Plan|HttpParser|Torture|SlowLoris|KeepAlive|Endpoint|Wire|FailureSite|ReuseGolden'
 
 # Portable core count: GNU coreutils' nproc, then the BSD/macOS sysctl,
 # then POSIX getconf, then a safe fallback.

@@ -2,9 +2,12 @@
 
 #include <chrono>
 #include <map>
+#include <span>
+#include <unordered_map>
 #include <utility>
 
 #include "align/parallel.h"
+#include "align/reuse.h"
 #include "common/strings.h"
 
 namespace lce::align {
@@ -47,10 +50,28 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+/// A later round that replays fewer traces than this does so serially: a
+/// worker costs a backend-pair clone and a thread, about as much as
+/// replaying a few dozen traces.
+constexpr std::size_t kMinParallelReplay = 64;
+
+/// What a trace that was clean in one round carries into the next.
+struct CleanOutcome {
+  bool have_probe_outcome = false;
+  std::string probe_outcome;
+};
+
+/// Clean outcomes by reuse_key.
+using CleanTable = std::unordered_map<std::string, CleanOutcome>;
+
 }  // namespace
 
 AlignmentReport AlignmentEngine::run() {
   AlignmentReport report;
+  // Last round's clean outcomes, and the index in report.repairs where
+  // last round's repairs begin.
+  CleanTable clean;
+  std::size_t last_round_repairs = 0;
 
   for (int round = 0; round < opts_.max_rounds; ++round) {
     RoundStats stats;
@@ -65,19 +86,42 @@ AlignmentReport AlignmentEngine::run() {
     stats.traces = traces.size();
     for (const auto& g : traces) stats.api_calls += g.trace.calls.size();
 
-    // Differential pass, sharded across worker threads over cloned backend
-    // pairs (serial when opts_.workers == 1 or clones are unavailable).
-    // Outcomes come back indexed by corpus order, so everything merged
-    // below — discrepancy order and evidence content — is identical to a
-    // serial run regardless of worker count.
-    ParallelExecutor executor(cloud_, emu_, opts_.workers, opts_.collect_metrics);
+    // Differential pass. A trace is replayed unless it was clean last round
+    // and cannot run a transition that last round's repairs edited
+    // (reuse.h); such a trace carries last round's clean outcome forward,
+    // so a discrepancy always comes from a fresh replay. Round 1 has no
+    // last round and replays everything. Replays are sharded across worker
+    // threads over cloned backend pairs (serial when opts_.workers == 1 or
+    // clones are unavailable). Outcomes land in corpus-order slots, so
+    // everything merged below — discrepancy order and evidence content —
+    // is identical to a serial run regardless of worker count.
     t0 = Clock::now();
-    std::vector<TraceOutcome> outcomes = executor.execute(traces);
+    std::vector<TraceOutcome> outcomes(traces.size());
+    std::vector<std::string> keys(traces.size());
+    std::vector<std::size_t> replay;
+    EditFootprint footprint(emu_.spec(),
+                            std::span(report.repairs).subspan(last_round_repairs));
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      keys[i] = reuse_key(traces[i]);
+      auto hit = clean.find(keys[i]);
+      if (hit != clean.end() && !footprint.touches(traces[i].trace)) {
+        outcomes[i].have_probe_outcome = hit->second.have_probe_outcome;
+        outcomes[i].probe_outcome = hit->second.probe_outcome;
+      } else {
+        replay.push_back(i);
+      }
+    }
+    clean = CleanTable();  // freed before anything replays
+    int workers = round > 0 && replay.size() < kMinParallelReplay ? 1 : opts_.workers;
+    ParallelExecutor executor(cloud_, emu_, workers, opts_.collect_metrics);
+    executor.execute(traces, replay, outcomes);
     stats.diff_wall_ms = ms_since(t0);
+    stats.traces_replayed = replay.size();
+    for (std::size_t i : replay) stats.calls_replayed += traces[i].trace.calls.size();
     stats.workers = executor.effective_workers();
     stats.metrics = executor.metrics();
     stats.traces_per_sec = stats.diff_wall_ms > 0
-                               ? static_cast<double>(traces.size()) * 1000.0 /
+                               ? static_cast<double>(replay.size()) * 1000.0 /
                                      stats.diff_wall_ms
                                : 0.0;
 
@@ -119,6 +163,7 @@ AlignmentReport AlignmentEngine::run() {
           }
         }
       }
+      // The moved-from pointer stays set: the table below skips this trace.
       if (o.discrepancy) found.push_back(std::move(*o.discrepancy));
     }
     stats.discrepancies = found.size();
@@ -136,6 +181,7 @@ AlignmentReport AlignmentEngine::run() {
       break;
     }
 
+    last_round_repairs = report.repairs.size();
     t0 = Clock::now();
     Repairer repairer(emu_, cloud_);
     auto still_diverges = [&](const Discrepancy& d) {
@@ -210,6 +256,18 @@ AlignmentReport AlignmentEngine::run() {
       }
     }
     stats.repair_wall_ms = ms_since(t0);
+    if (repaired != 0 && round + 1 < opts_.max_rounds) {
+      // The next round reuses this round's clean outcomes: keep each one's
+      // key and probe outcome, nothing more.
+      t0 = Clock::now();
+      for (std::size_t i = 0; i < traces.size(); ++i) {
+        if (outcomes[i].discrepancy) continue;
+        clean.try_emplace(std::move(keys[i]),
+                          CleanOutcome{outcomes[i].have_probe_outcome,
+                                       std::move(outcomes[i].probe_outcome)});
+      }
+      stats.diff_wall_ms += ms_since(t0);
+    }
     report.rounds.push_back(stats);
     if (repaired == 0) break;  // stuck: avoid spinning
   }

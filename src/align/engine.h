@@ -2,7 +2,9 @@
 //
 //   repeat:
 //     symbolically generate high-coverage traces from the CURRENT spec
-//     run them on emulator + cloud, collect divergences
+//     run them on emulator + cloud, collect divergences (after the first
+//     round, only the traces the last round's repairs can change run
+//     again; the rest keep their clean outcome, see reuse.h)
 //     shrink each divergence to a minimal reproducer
 //     diagnose (failure-site breadcrumbs + class metadata) and repair
 //   until no divergence or the round budget is exhausted.
@@ -39,15 +41,22 @@ struct AlignmentOptions {
 
 struct RoundStats {
   std::size_t traces = 0;
-  std::size_t api_calls = 0;       // per backend
+  std::size_t api_calls = 0;       // per backend, over the whole corpus
   std::size_t discrepancies = 0;
   std::size_t repairs = 0;
+  // The part of the corpus the pass replayed (all of it in round 1); the
+  // rest carried last round's clean outcome forward. Deterministic, but
+  // outside canonical_text(), which reads as it did when every round
+  // replayed everything.
+  std::size_t traces_replayed = 0;
+  std::size_t calls_replayed = 0;  // per backend
   // Performance counters (excluded from the determinism contract:
   // canonical_text() never includes them).
   double gen_wall_ms = 0;          // wall clock of trace generation
-  double diff_wall_ms = 0;         // wall clock of the differential pass
+  double diff_wall_ms = 0;         // wall clock of the differential pass,
+                                   // reuse lookup and bookkeeping included
   double repair_wall_ms = 0;       // wall clock of repair (0 when none ran)
-  double traces_per_sec = 0;       // throughput of the differential pass
+  double traces_per_sec = 0;       // replayed traces per second of the pass
   int workers = 1;                 // parallelism the pass actually used
   // Aggregated per-API MetricsLayer counters for the pass, null unless
   // AlignmentOptions::collect_metrics (also outside the contract: counts

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -20,7 +21,9 @@ TraceOutcome replay_one(CloudBackend& cloud, CloudBackend& emulator,
   std::vector<ApiResponse> cloud_resp = run_trace(cloud, g.trace);
   std::vector<ApiResponse> emu_resp = run_trace(emulator, g.trace);
   TraceOutcome out;
-  out.discrepancy = diff_responses(g, cloud_resp, emu_resp);
+  if (auto d = diff_responses(g, cloud_resp, emu_resp)) {
+    out.discrepancy = std::make_unique<Discrepancy>(std::move(*d));
+  }
   // Sweep and happy-path probes additionally contribute the cloud's
   // outcome to the engine's enum-precondition evidence.
   bool wants_outcome =
@@ -43,11 +46,20 @@ ParallelExecutor::ParallelExecutor(CloudBackend& cloud, CloudBackend& emulator,
 
 std::vector<TraceOutcome> ParallelExecutor::execute(
     const std::vector<GenTrace>& traces) {
+  std::vector<std::size_t> all(traces.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
   std::vector<TraceOutcome> out(traces.size());
+  execute(traces, all, out);
+  return out;
+}
+
+void ParallelExecutor::execute(const std::vector<GenTrace>& traces,
+                               const std::vector<std::size_t>& indices,
+                               std::vector<TraceOutcome>& out) {
   metrics_ = Value();
 
   int w = workers_ > 0 ? workers_ : ThreadPool::hardware_workers();
-  w = std::min<int>(w, static_cast<int>(traces.size()));
+  w = std::min<int>(w, static_cast<int>(indices.size()));
   w = std::max(w, 1);
 
   // Per-worker backend clones. Each worker owns one independent pair, so
@@ -89,9 +101,7 @@ std::vector<TraceOutcome> ParallelExecutor::execute(
       c = cloud_metrics.back().get();
       e = emu_metrics.back().get();
     }
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      out[i] = replay_one(*c, *e, traces[i]);
-    }
+    for (std::size_t i : indices) out[i] = replay_one(*c, *e, traces[i]);
   } else {
     ThreadPool pool(w);
     for (int k = 0; k < w; ++k) {
@@ -103,11 +113,11 @@ std::vector<TraceOutcome> ParallelExecutor::execute(
         e = emu_metrics.back().get();
       }
       pool.submit([&, c, e, k] {
-        // Stride sharding: worker k owns slots k, k+w, k+2w, ... Disjoint
+        // Stride sharding: worker k owns indices k, k+w, k+2w, ... Disjoint
         // result slots mean no synchronisation on the output vector.
-        for (std::size_t i = static_cast<std::size_t>(k); i < traces.size();
-             i += static_cast<std::size_t>(w)) {
-          out[i] = replay_one(*c, *e, traces[i]);
+        for (std::size_t n = static_cast<std::size_t>(k); n < indices.size();
+             n += static_cast<std::size_t>(w)) {
+          out[indices[n]] = replay_one(*c, *e, traces[indices[n]]);
         }
       });
     }
@@ -122,7 +132,6 @@ std::vector<TraceOutcome> ParallelExecutor::execute(
     metrics_ = Value(Value::Map{{"cloud", cloud_total.metrics()},
                                 {"emulator", emu_total.metrics()}});
   }
-  return out;
 }
 
 }  // namespace lce::align

@@ -5,14 +5,15 @@
 // embarrassingly parallel *except* that backends are stateful: each replay
 // resets and mutates the backend's resource store. Rather than lock one
 // backend pair, the executor deep-clones the pair per worker
-// (CloudBackend::clone()) and shards the trace corpus across workers in a
+// (CloudBackend::clone()) and shards the traces to replay (the whole corpus,
+// or the subset a later alignment round replays) across workers in a
 // stride pattern. Results land in per-trace slots indexed by the corpus
 // order, so the merged output is byte-identical to a serial run for ANY
 // worker count — the determinism contract tests/align/parallel_executor_test
 // enforces.
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,8 +26,10 @@ namespace lce::align {
 /// Everything the engine needs from one trace's differential replay:
 /// the divergence (if any) plus the cloud's probe outcome, which feeds the
 /// enum-precondition evidence maps ("" = probe succeeded, else error code).
+/// The divergence sits behind a pointer because most traces have none:
+/// an outcome is 48 bytes, not the 656 of an inline Discrepancy.
 struct TraceOutcome {
-  std::optional<Discrepancy> discrepancy;
+  std::unique_ptr<Discrepancy> discrepancy;
   bool have_probe_outcome = false;
   std::string probe_outcome;
 };
@@ -45,6 +48,13 @@ class ParallelExecutor {
   /// either backend cannot clone() or only one worker is requested.
   std::vector<TraceOutcome> execute(const std::vector<GenTrace>& traces);
 
+  /// Replay traces[i] for each i in `indices` into out[i] (out holds one
+  /// slot per trace); other slots are left as they are. Worker k replays
+  /// indices[k], indices[k + w], ..., so every slot is the same for any
+  /// worker count. execute(traces) is this over every index.
+  void execute(const std::vector<GenTrace>& traces, const std::vector<std::size_t>& indices,
+               std::vector<TraceOutcome>& out);
+
   /// The parallelism the last execute() actually used (1 after a serial
   /// fallback); 0 before the first execute().
   int effective_workers() const { return effective_; }
@@ -52,7 +62,7 @@ class ParallelExecutor {
   /// Aggregated {"cloud": ..., "emulator": ...} MetricsLayer snapshots for
   /// the last execute(); null unless collect_metrics. Call/error counts
   /// are identical for every worker count (the per-API workload is fixed
-  /// by the trace corpus); latency fields are wall-clock and are — like
+  /// by the replayed subset); latency fields are wall-clock and are — like
   /// RoundStats timings — excluded from the determinism contract.
   const Value& metrics() const { return metrics_; }
 

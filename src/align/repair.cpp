@@ -531,7 +531,10 @@ std::optional<RepairAction> Repairer::repair_payload(const Discrepancy& d) {
 
     if (t->kind == TransitionKind::kCreate) {
       // Wrong value straight out of create: fix the write literal when one
-      // exists, else the initial.
+      // exists; else, when the create passed the cloud's value in one of
+      // its parameters, write that parameter; else patch the initial.
+      // (Patching the initial to one trace's argument flips it again on
+      // the next trace's.)
       for (auto& s : t->body) {
         if (s->kind == StmtKind::kWrite && s->var == key && s->expr &&
             s->expr->kind == ExprKind::kLiteral) {
@@ -540,6 +543,20 @@ std::optional<RepairAction> Repairer::repair_payload(const Discrepancy& d) {
           return RepairAction{RepairAction::Kind::kPatchWriteLiteral, m->name, t->name,
                               strf("write(", key, ") learned as ", cloud_v.to_text())};
         }
+      }
+      const Value::Map& args = d.trace.calls[d.call_index].args;
+      for (const auto& p : t->params) {
+        auto arg = args.find(p.name);
+        if (arg == args.end() || arg->second != cloud_v) continue;
+        auto w = std::make_unique<spec::Stmt>();
+        w->kind = StmtKind::kWrite;
+        w->var = key;
+        w->expr = spec::make_var(p.name);
+        t->body.push_back(std::move(w));
+        emu_.replace_spec(std::move(spec));
+        return RepairAction{RepairAction::Kind::kAddWriteEffect, m->name, t->name,
+                            strf("learned effect: ", t->name, " sets '", key,
+                                 "' from param '", p.name, "'")};
       }
       for (auto& sv : m->states) {
         if (sv.name == key) {

@@ -595,7 +595,7 @@ void Interpreter::rebuild_dispatch() {
 
 ApiResponse Interpreter::invoke(const ApiRequest& req, FailureSite* where) {
   if (where != nullptr) *where = FailureSite{};
-  if (req.api == timers::kAdvanceClockApi) return advance_clock(req);
+  if (req.api == timers::kAdvanceClockApi) return advance_clock(req, where);
   auto run = [&] {
     return plan_ != nullptr ? plan::run_plan(*plan_, opts_, store_, req, where)
                             : Execution(spec_, opts_, store_, where).run(req);
@@ -616,11 +616,15 @@ ApiResponse Interpreter::invoke(const ApiRequest& req, FailureSite* where) {
   return resp;
 }
 
-ApiResponse Interpreter::advance_clock(const ApiRequest& req) {
+ApiResponse Interpreter::advance_clock(const ApiRequest& req, FailureSite* where) {
   std::int64_t ticks = 1;
   auto it = req.args.find("ticks");
   if (it != req.args.end()) {
     if (!it->second.is_int() || it->second.as_int() < 1) {
+      if (where != nullptr) {
+        where->origin = FailureSite::Origin::kDispatch;
+        where->error_code = std::string(errc::kInvalidParameterValue);
+      }
       return ApiResponse::failure(
           std::string(errc::kInvalidParameterValue),
           strf("_AdvanceClock ticks must be a positive integer, got ",

@@ -88,9 +88,11 @@ class Interpreter final : public CloudBackend {
   /// Serve path: no failure site is built.
   ApiResponse invoke(const ApiRequest& req) override { return invoke(req, nullptr); }
   /// Located invoke: when `where` is non-null it receives this call's
-  /// failure site (origin kNone on success, and always for
-  /// `_AdvanceClock`). Each caller gets its own call's site, so
-  /// concurrent located invokes never see each other's.
+  /// failure site: origin kNone on success, kDispatch for an
+  /// `_AdvanceClock` whose ticks are not a positive integer. An advance
+  /// that runs reads kNone even when a timer it fires fails. Each caller
+  /// gets its own call's site, so concurrent located invokes never see
+  /// each other's.
   ApiResponse invoke(const ApiRequest& req, FailureSite* where);
   void reset() override;
   bool supports(const std::string& api) const override;
@@ -125,7 +127,7 @@ class Interpreter final : public CloudBackend {
   /// The `_AdvanceClock` built-in (see interp/timers.h): advances the
   /// virtual clock by args["ticks"] and fires every due timer through the
   /// normal invoke path, in deterministic (deadline, seq) order.
-  ApiResponse advance_clock(const ApiRequest& req);
+  ApiResponse advance_clock(const ApiRequest& req, FailureSite* where);
 
   /// Recompile the execution plan (when use_plan) and the spec's sorted
   /// api dispatch index. Called from construction and replace_spec; must

@@ -1,6 +1,7 @@
 // Byte-level pins of the alignment loop against committed goldens in
 // tests/align/golden/: the learn-align configuration's canonical report,
-// and a per-machine digest of its round-1 symbolic trace corpus. The
+// a per-machine digest of its round-1 symbolic trace corpus, and the
+// canonical reports of six more configurations (ReuseGolden). The
 // determinism suites compare worker counts of one build with each other;
 // these compare every build with the same recorded bytes, so a change
 // that alters the corpus or the repairs identically at every worker count
@@ -106,6 +107,66 @@ TEST(AlignmentGolden, RoundOneCorpusDigestMatchesGolden) {
     expect_golden("learn_align_round1_corpus.txt", corpus_digest(traces, gen.stats()));
   }
 }
+
+// Canonical reports of six more configurations, recorded before rounds
+// reused earlier outcomes: multi-round runs that repair, converge or run
+// out of repairs on both clouds and both executors. Rounds after the first
+// replay only part of the corpus, so these pin that the reused outcomes
+// are the ones a full replay would produce.
+
+struct GoldenConfig {
+  const char* golden;
+  bool azure = false;
+  double defect_rate = 0;  // 0 = the docs as published
+  std::uint64_t defect_seed = 0;
+  double noise = 0;
+  std::uint64_t synth_seed = 1;
+  bool use_plan = true;
+};
+
+void expect_config_golden(const GoldenConfig& c) {
+  auto catalog = [&] {
+    return c.azure ? docs::build_azure_catalog() : docs::build_aws_catalog();
+  };
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    docs::CloudCatalog docs_catalog = catalog();
+    if (c.defect_rate > 0) {
+      Rng rng(c.defect_seed);
+      docs::inject_defects(docs_catalog, c.defect_rate, rng);
+    }
+    core::PipelineOptions popts;
+    popts.synthesis.noise_rate = c.noise;
+    popts.synthesis.seed = c.synth_seed;
+    popts.use_plan = c.use_plan;
+    auto emu = core::LearnedEmulator::from_docs(docs::render_corpus(docs_catalog), popts);
+    cloud::ReferenceCloud cloud(catalog());
+    AlignmentOptions opts;
+    opts.workers = workers;
+    expect_golden(c.golden, canonical_text(emu.align_against(cloud, opts)));
+  }
+}
+
+TEST(ReuseGolden, AwsHeavyDefectsAndNoise) {
+  expect_config_golden({"aws_defects25_seed3_noise25_synth1.txt", false, 0.25, 3, 0.25, 1});
+}
+
+TEST(ReuseGolden, AwsDefectsAndNoiseOnTreeExecutor) {
+  expect_config_golden(
+      {"aws_defects20_seed5_noise20_synth5_tree.txt", false, 0.20, 5, 0.20, 5, false});
+}
+
+TEST(ReuseGolden, AzureHeavyDefectsAndNoiseSeed21) {
+  expect_config_golden({"azure_defects25_seed21_noise25.txt", true, 0.25, 21, 0.25, 21});
+}
+
+TEST(ReuseGolden, AzureHeavyDefectsAndNoiseSeed22) {
+  expect_config_golden({"azure_defects25_seed22_noise25.txt", true, 0.25, 22, 0.25, 22});
+}
+
+TEST(ReuseGolden, CleanAws) { expect_config_golden({"aws_clean.txt"}); }
+
+TEST(ReuseGolden, CleanAzure) { expect_config_golden({"azure_clean.txt", true}); }
 
 }  // namespace
 }  // namespace lce::align

@@ -65,7 +65,7 @@ TEST(ParallelExecutor, OutcomesMatchSerialElementwise) {
 
   ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].discrepancy.has_value(), got[i].discrepancy.has_value())
+    EXPECT_EQ(want[i].discrepancy != nullptr, got[i].discrepancy != nullptr)
         << "trace " << i << " (" << traces[i].trace.label << ")";
     if (want[i].discrepancy && got[i].discrepancy) {
       EXPECT_EQ(want[i].discrepancy->to_text(), got[i].discrepancy->to_text());
@@ -130,7 +130,7 @@ TEST(ParallelExecutor, FallsBackToSerialWhenBackendCannotClone) {
   auto want = serial.execute(traces);
   ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].discrepancy.has_value(), got[i].discrepancy.has_value());
+    EXPECT_EQ(want[i].discrepancy != nullptr, got[i].discrepancy != nullptr);
     EXPECT_EQ(want[i].probe_outcome, got[i].probe_outcome);
   }
 }
@@ -295,16 +295,20 @@ TEST(ParallelStackAlignment, MetricsCollectionIsDeterministicAndInvisible) {
   ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
   ASSERT_FALSE(serial.rounds.empty());
   for (std::size_t i = 0; i < serial.rounds.size(); ++i) {
-    // Each trace is replayed once per backend: the probe outcome comes
-    // from the same cloud run the diff used.
+    // Each replayed trace runs once per backend: the probe outcome comes
+    // from the same cloud run the diff used. Round 1 replays the whole
+    // corpus; later rounds replay the subset their reuse rule leaves.
     for (const AlignmentReport* r : {&serial, &parallel}) {
       const RoundStats& round = r->rounds[i];
       EXPECT_EQ(round.metrics.get("cloud")->get("total")->get("calls")->as_int(),
                 round.metrics.get("emulator")->get("total")->get("calls")->as_int())
           << "round " << i;
       EXPECT_EQ(round.metrics.get("cloud")->get("total")->get("calls")->as_int(),
-                static_cast<std::int64_t>(round.api_calls))
+                static_cast<std::int64_t>(round.calls_replayed))
           << "round " << i;
+      if (i == 0) {
+        EXPECT_EQ(round.calls_replayed, round.api_calls);
+      }
     }
     for (const char* side : {"cloud", "emulator"}) {
       const Value* a = serial.rounds[i].metrics.get(side);
@@ -364,7 +368,7 @@ TEST(ParallelExecutor, JournaledStackOutcomesMatchBareBackend) {
       auto got = exec.execute(traces);
       ASSERT_EQ(want.size(), got.size());
       for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(want[i].discrepancy.has_value(), got[i].discrepancy.has_value())
+        EXPECT_EQ(want[i].discrepancy != nullptr, got[i].discrepancy != nullptr)
             << "trace " << i << " (" << traces[i].trace.label << ")";
         if (want[i].discrepancy && got[i].discrepancy) {
           EXPECT_EQ(want[i].discrepancy->to_text(), got[i].discrepancy->to_text());

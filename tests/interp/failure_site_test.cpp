@@ -204,6 +204,15 @@ TEST(FailureSite, AdvanceClockIsNone) {
   expect_site(t, Origin::kNone, "", "", -1);
 }
 
+TEST(FailureSite, AdvanceClockWithBadTicksIsDispatch) {
+  for (const Value& ticks : {Value(0), Value(-3), Value("2")}) {
+    SCOPED_TRACE(ticks.to_text());
+    Trace t;
+    t.add("_AdvanceClock", {{"ticks", ticks}});
+    expect_site(t, Origin::kDispatch, "", errc::kInvalidParameterValue, -1);
+  }
+}
+
 TEST(FailureSite, ConcurrentLocatedInvokesNameTheirOwnCall) {
   // Four threads fail four different calls on one interpreter; each site
   // must be its own call's, never another thread's.

@@ -306,9 +306,9 @@ int main(int argc, char** argv) {
       const auto& r = report.rounds[i];
       std::cout << "round " << i + 1 << " timing: generation " << fixed(r.gen_wall_ms, 1)
                 << " ms, diff " << fixed(r.diff_wall_ms, 1) << " ms, repair "
-                << fixed(r.repair_wall_ms, 1) << " ms, "
-                << static_cast<long>(r.traces_per_sec) << " traces/s, "
-                << r.workers << " worker(s)\n";
+                << fixed(r.repair_wall_ms, 1) << " ms, replayed " << r.traces_replayed
+                << " of " << r.traces << " traces, " << static_cast<long>(r.traces_per_sec)
+                << " traces/s, " << r.workers << " worker(s)\n";
       if (aopts.collect_metrics && r.metrics.is_map()) {
         for (const char* side : {"cloud", "emulator"}) {
           const Value* total = r.metrics.get(side) ? r.metrics.get(side)->get("total")
