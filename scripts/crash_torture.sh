@@ -15,9 +15,17 @@
 # requires byte-identical dumps plus every response (including each
 # tick's {failed, fired, now}) to reproduce.
 #
+# Record mode (RECORD=1) serves `--record DIR`: a data dir that journals
+# reads too and never snapshots. The load mixes reads with writes, each a
+# call that succeeds: CreateVpc, CreateSubnet in that vpc, DescribeSubnet
+# and ModifySubnetAttribute. After every kill, `lce replay` must verify the
+# dir, `lce trace import DIR/wal-00000001.lcw` must turn the session into a
+# script, and `lce run` of that script must print no ERR line.
+#
 # Usage: scripts/crash_torture.sh [LCE_BINARY]
 # Env:   CYCLES        kill cycles to run (default 10)
 #        TIMERS        1 = virtual-time lane (timer spec + tick load)
+#        RECORD        1 = recording lane (--record, reads and writes)
 #        ARTIFACT_DIR  where failing data dirs are preserved for upload
 #                      (default crash-torture-artifacts)
 set -euo pipefail
@@ -26,6 +34,7 @@ cd "$(dirname "$0")/.."
 LCE="${1:-build/tools/lce}"
 CYCLES="${CYCLES:-10}"
 TIMERS="${TIMERS:-0}"
+RECORD="${RECORD:-0}"
 ARTIFACT_DIR="${ARTIFACT_DIR:-crash-torture-artifacts}"
 
 if [[ ! -x "$LCE" ]]; then
@@ -36,7 +45,9 @@ fi
 DATA_DIR="$(mktemp -d)"
 LOG="$(mktemp)"
 SPEC_FILE="$(mktemp --suffix=.spec 2>/dev/null || mktemp)"
-cleanup() { rm -rf "$DATA_DIR" "$LOG" "$SPEC_FILE"; }
+SCRIPT_FILE="$(mktemp)"
+RUN_LOG="$(mktemp)"
+cleanup() { rm -rf "$DATA_DIR" "$LOG" "$SPEC_FILE" "$SCRIPT_FILE" "$RUN_LOG"; }
 trap cleanup EXIT
 
 if [[ "$TIMERS" -eq 1 ]]; then
@@ -89,6 +100,9 @@ fail() {
 
 SERVE_ARGS=(--data-dir "$DATA_DIR" --snapshot-every 40 --no-stdin)
 REPLAY_ARGS=("$DATA_DIR")
+if [[ "$RECORD" -eq 1 ]]; then
+  SERVE_ARGS=(--record "$DATA_DIR" --no-stdin)
+fi
 if [[ "$TIMERS" -eq 1 ]]; then
   SERVE_ARGS+=(--spec "$SPEC_FILE" --virtual-time)
   REPLAY_ARGS+=(--spec "$SPEC_FILE")
@@ -99,7 +113,8 @@ fi
 # Sets SERVE_PID and PORT.
 start_server() {
   : > "$LOG"
-  # A tight snapshot cadence makes kills land in rotation windows too.
+  # A tight snapshot cadence makes kills land in rotation windows too
+  # (except under RECORD=1, which never snapshots).
   "$LCE" serve "${SERVE_ARGS[@]}" > "$LOG" 2>&1 &
   SERVE_PID=$!
   PORT=""
@@ -115,6 +130,17 @@ start_server() {
 stop_server() {
   kill -9 "$SERVE_PID" 2>/dev/null || true
   wait "$SERVE_PID" 2>/dev/null || true
+}
+
+# POST one call; prints the response body, fails when the server is gone.
+invoke() {
+  curl -sf -X POST "http://127.0.0.1:$PORT/invoke" \
+    -d "{\"Action\":\"$1\",\"Params\":$2}" 2>/dev/null
+}
+
+# The id of the resource a response names, e.g. `created_id vpc "$body"`.
+created_id() {
+  sed -n "s/.*\"id\":\"\($1-[0-9]*\)\".*/\1/p" <<< "$2"
 }
 
 for ((cycle = 1; cycle <= CYCLES; cycle++)); do
@@ -138,6 +164,18 @@ for ((cycle = 1; cycle <= CYCLES; cycle++)); do
         curl -s -o /dev/null -X POST "http://127.0.0.1:$PORT/invoke" \
           -d "{\"Action\":\"RunInstance\",\"Params\":{\"zone\":\"us-east\"}}" \
           2>/dev/null || exit 0
+      elif [[ "$RECORD" -eq 1 ]]; then
+        # Each step needs the id the previous one minted; a call the kill
+        # cut off ends the load.
+        body="$(invoke CreateVpc "{\"cidr_block\":\"10.$((i % 200)).0.0/16\"}")" || exit 0
+        vpc="$(created_id vpc "$body")"
+        [[ -n "$vpc" ]] || exit 0
+        body="$(invoke CreateSubnet "{\"vpc\":\"$vpc\",\"cidr_block\":\"10.$((i % 200)).1.0/24\",\"zone\":\"us-east\"}")" || exit 0
+        subnet="$(created_id subnet "$body")"
+        [[ -n "$subnet" ]] || exit 0
+        invoke DescribeSubnet "{\"id\":\"$subnet\"}" > /dev/null || exit 0
+        invoke ModifySubnetAttribute \
+          "{\"id\":\"$subnet\",\"map_public_ip_on_launch\":true}" > /dev/null || exit 0
       else
         curl -s -o /dev/null -X POST "http://127.0.0.1:$PORT/invoke" \
           -d "{\"Action\":\"CreateVpc\",\"Params\":{\"cidr_block\":\"10.$((i % 200)).0.0/16\"}}" \
@@ -155,9 +193,19 @@ for ((cycle = 1; cycle <= CYCLES; cycle++)); do
   wait "$LOAD_PID" 2>/dev/null || true
 
   "$LCE" replay "${REPLAY_ARGS[@]}" > /dev/null || fail "replay rejected the data dir"
+  if [[ "$RECORD" -eq 1 ]]; then
+    "$LCE" trace import "$DATA_DIR/wal-00000001.lcw" "$SCRIPT_FILE" > /dev/null 2>&1 ||
+      fail "trace import rejected the recording"
+    "$LCE" run "$SCRIPT_FILE" > "$RUN_LOG" || fail "lce run rejected the imported recording"
+    if grep -q -- ' -> ERR ' "$RUN_LOG"; then
+      fail "the imported recording replayed with an ERR line: $(grep -m1 -- ' -> ERR ' "$RUN_LOG")"
+    fi
+  fi
 done
 
-if [[ "$TIMERS" -eq 1 ]]; then
+if [[ "$RECORD" -eq 1 ]]; then
+  echo "crash_torture: $CYCLES kill -9 cycle(s) of a recording replayed, imported and re-ran without an error"
+elif [[ "$TIMERS" -eq 1 ]]; then
   echo "crash_torture: $CYCLES kill -9 cycle(s) with timers in flight recovered and replayed byte-identically"
 else
   echo "crash_torture: $CYCLES kill -9 cycle(s) recovered and verified"

@@ -344,7 +344,7 @@ class Builder {
       fail_reason = "no create transition on " + machine;
       return std::nullopt;
     }
-    auto args = solve_args(*m, *create, /*self_idx=*/std::nullopt, overrides, depth);
+    auto args = solve_args(*create, overrides, depth);
     if (!args) return std::nullopt;
     std::size_t idx = trace_.add(create->name, std::move(*args));
     plan_effects(*m, *create, idx);
@@ -358,7 +358,7 @@ class Builder {
                                      std::optional<std::size_t> self_idx,
                                      const Value::Map& forced_args = {},
                                      const Value::Map& overrides = {}) {
-    auto args = solve_args(m, t, self_idx, overrides, /*depth=*/0, &forced_args);
+    auto args = solve_args(t, overrides, /*depth=*/0, &forced_args);
     if (!args) return std::nullopt;
     if (t.kind != TransitionKind::kCreate) {
       if (!self_idx) {
@@ -472,10 +472,8 @@ class Builder {
 
   /// Solve arguments for transition `t` with happy semantics, honoring
   /// forced args and attribute overrides.
-  std::optional<Value::Map> solve_args(const StateMachine& m, const Transition& t,
-                                       std::optional<std::size_t> self_idx,
-                                       const Value::Map& overrides, int depth,
-                                       const Value::Map* forced = nullptr) {
+  std::optional<Value::Map> solve_args(const Transition& t, const Value::Map& overrides,
+                                       int depth, const Value::Map* forced = nullptr) {
     // Which param writes which attr (for overrides steering).
     std::map<std::string, std::string> attr_to_param;
     for (const auto& s : t.body) {
@@ -520,7 +518,7 @@ class Builder {
         }
       }
       if (overridden) continue;
-      auto v = happy_value(m, t, p, constraint, link_param, args, depth);
+      auto v = happy_value(t, p, constraint, link_param, args, depth);
       if (!v) return std::nullopt;
       args[p.name] = std::move(*v);
     }
@@ -628,8 +626,7 @@ class Builder {
   }
 
   /// Happy value for one parameter.
-  std::optional<Value> happy_value(const StateMachine& m, const Transition& t,
-                                   const spec::Param& p,
+  std::optional<Value> happy_value(const Transition& t, const spec::Param& p,
                                    const std::map<std::string, AssertInfo>& constraint,
                                    const std::string& link_param, const Value::Map& args_so_far,
                                    int depth) {
@@ -872,7 +869,7 @@ std::vector<GenTrace> TraceGenerator::generate(const std::string& machine,
         }
         // Need the link arg solved first; do a dry solve of args then
         // override the cidr with an out-of-range prefix.
-        auto args = b.solve_args(*m, *t, self_idx, {}, 0);
+        auto args = b.solve_args(*t, {}, 0);
         if (!args) {
           solvable = false;
           why = "args unsolvable";
@@ -1187,7 +1184,7 @@ std::vector<GenTrace> TraceGenerator::generate(const std::string& machine,
       skip("boundary setup unsolvable");
       continue;
     }
-    auto args = b.solve_args(*m, *t, self_idx, {}, 0);
+    auto args = b.solve_args(*t, {}, 0);
     if (!args) {
       skip("boundary args unsolvable");
       continue;

@@ -4,7 +4,7 @@
 // committed transitions to the epoch's WAL, and rotates epochs via
 // snapshots (on demand from POST /admin/snapshot or automatically every N
 // records). JournalLayer is the stack seam (config.h order: below
-// validate, above record) that routes write invokes through the manager.
+// validate, above serialize) that routes write invokes through the manager.
 //
 // The snapshot gate: logged invokes hold `gate()` SHARED across
 // inner().invoke() + the WAL append, and a snapshot holds it EXCLUSIVE
@@ -45,7 +45,8 @@ struct PersistOptions {
   /// Journal read APIs too: the calls the compiled plan locks read-shared
   /// (Interpreter::read_only_api). Off by default: reads don't change
   /// state, so logging them only buys replay-time response verification
-  /// at the cost of WAL volume. Everything else is always journaled,
+  /// at the cost of WAL volume. `lce serve --record DIR` turns it on, so a
+  /// recording holds every call. Everything else is always journaled,
   /// including unknown APIs and _AdvanceClock, which is not a plan API.
   bool log_reads = false;
 };

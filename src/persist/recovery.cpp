@@ -1,5 +1,6 @@
 #include "persist/recovery.h"
 
+#include <map>
 #include <utility>
 
 #include "common/strings.h"
@@ -31,6 +32,29 @@ bool parse_minted_id(std::string_view id, std::string* prefix, std::uint64_t* n)
 bool responses_match(const ApiResponse& got, const ApiResponse& want) {
   // Messages are out of scope by the same contract alignment uses.
   return got.ok == want.ok && got.code == want.code && got.data == want.data;
+}
+
+using MintedIds = std::map<std::string, std::size_t, std::less<>>;
+
+/// Replace every string/ref naming an id in `minted` with its minter's
+/// "$k.id" placeholder, recursively through lists and maps.
+Value portabilize(const Value& v, const MintedIds& minted) {
+  if (v.is_str() || v.is_ref()) {
+    auto it = minted.find(v.as_str());
+    if (it != minted.end()) return Value(strf("$", it->second, ".id"));
+    return v;
+  }
+  if (v.is_list()) {
+    Value::List out;
+    for (const auto& e : v.as_list()) out.push_back(portabilize(e, minted));
+    return Value(std::move(out));
+  }
+  if (v.is_map()) {
+    Value::Map out;
+    for (const auto& [k, e] : v.as_map()) out.emplace(k, portabilize(e, minted));
+    return Value(std::move(out));
+  }
+  return v;
 }
 
 }  // namespace
@@ -211,8 +235,20 @@ Trace trace_from_records(const std::vector<LogRecord>& records,
                          std::string label) {
   Trace trace;
   trace.label = std::move(label);
+  MintedIds minted;
   for (const LogRecord& rec : records) {
-    if (rec.type == LogRecord::Type::kCall) trace.calls.push_back(rec.request);
+    if (rec.type == LogRecord::Type::kReset) {  // a reset clears the session
+      trace.calls.clear();
+      minted.clear();
+      continue;
+    }
+    ApiRequest call = rec.request;
+    for (auto& [k, v] : call.args) v = portabilize(v, minted);
+    if (auto it = minted.find(call.target); it != minted.end()) {
+      call.target = strf("$", it->second, ".id");
+    }
+    for (const std::string& id : rec.minted_ids) minted.emplace(id, trace.calls.size());
+    trace.calls.push_back(std::move(call));
   }
   return trace;
 }

@@ -13,9 +13,10 @@
 // TWO fresh interpreters and assert their canonical store dumps are
 // byte-identical, and that each re-invoked call reproduced its logged
 // response (ok bit, code, and data; messages are explicitly out of scope,
-// matching the alignment contract). Because the WAL shares the record
-// format with RecordLayer traces, a recorded endpoint session exported
-// with `lce trace export` replays through the identical machinery.
+// matching the alignment contract). A recorded session (`lce serve
+// --record DIR`) is such a data dir, and an exported script (`lce trace
+// export`) is a record file, so both replay through the identical
+// machinery.
 //
 // Determinism caveat: WAL append order is commit order only for
 // non-overlapping or serial workloads. Two racing conflicting writes may
@@ -90,9 +91,17 @@ ReplayReport replay_dir(const std::string& dir, interp::Interpreter* a,
 /// WAL) against a fresh interpreter from reset.
 ReplayReport replay_file(const std::string& path, interp::Interpreter* interp);
 
-/// Trace <-> record conversion (the RecordLayer unification seam).
-/// Requests only; has_response stays false so replay skips comparison.
+/// Trace -> records (`lce trace export`). Requests only; has_response
+/// stays false so replay skips comparison.
 std::vector<LogRecord> records_from_trace(const Trace& trace);
+
+/// Records -> a trace that replays from a reset backend (`lce trace
+/// import`): the calls after the last reset record, with every argument
+/// value (searched through lists and maps) and target that equals an id
+/// minted by an earlier call k of the trace rewritten to "$k.id". The
+/// minter is the first call whose minted_ids holds the id, so a logged
+/// read that echoes an id never takes it over. Records without minted
+/// ids (an exported script) pass through unchanged.
 Trace trace_from_records(const std::vector<LogRecord>& records,
                          std::string label = "imported");
 

@@ -299,7 +299,7 @@ ApiResponse decode_invoke_response(const HttpResponse& resp) {
     Value tagged = [&] {
       Value::Map out;
       for (const auto& [k, v] : data->as_map()) {
-        out.emplace(k, v.is_str() && looks_like_resource_id(v.as_str())
+        out.emplace(k, v.is_str() && stack::looks_like_resource_id(v.as_str())
                            ? Value::ref(v.as_str())
                            : v);
       }

@@ -14,10 +14,10 @@
 //   GET  /admin/persist  -> durability status: epoch, WAL records/bytes
 //
 // Cross-cutting invoke-path concerns (thread-safety, id re-tagging,
-// metrics, fault injection, recording, read caching) live in lce::stack;
-// the endpoint just builds a LayerStack from a StackConfig and routes HTTP
-// onto it. The "layers" health field and /metrics are served whenever the
-// backend IS a LayerStack (which EmulatorEndpoint guarantees).
+// metrics, fault injection) live in lce::stack; the endpoint just builds a
+// LayerStack from a StackConfig and routes HTTP onto it. The "layers"
+// health field and /metrics are served whenever the backend IS a
+// LayerStack (which EmulatorEndpoint guarantees).
 #pragma once
 
 #include <memory>
@@ -33,10 +33,6 @@ class PersistManager;
 }  // namespace lce::persist
 
 namespace lce::server {
-
-/// Wire-format id heuristic, re-exported from the stack's validate layer
-/// (ids travel as plain JSON strings and are re-tagged before dispatch).
-using stack::looks_like_resource_id;
 
 /// Translate one HTTP request into a backend call without a socket: the
 /// same routing, JSON decoder and JSON renderer the endpoint serves
@@ -78,8 +74,8 @@ class EmulatorEndpoint {
   void stop();
   std::uint16_t port() const { return server_.port(); }
 
-  /// The layer stack requests flow through (for pulling metrics, recorded
-  /// traces, or fault counters out of a live endpoint).
+  /// The layer stack requests flow through (for pulling metrics or fault
+  /// counters out of a live endpoint).
   stack::LayerStack& stack() { return stack_; }
 
   /// Front-end counters (also served under "server" in /metrics).

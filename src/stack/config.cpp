@@ -11,7 +11,6 @@ void push_layers(LayerStack& stack, const StackConfig& config,
   // push() wraps the current outermost, so push in inner-to-outer order
   // (the reverse of the request path documented in the header).
   if (!base_thread_safe) stack.push(std::make_unique<SerializeLayer>());
-  if (config.record) stack.push(std::make_unique<RecordLayer>());
   if (config.journal) stack.push(config.journal());
   if (config.validate) stack.push(std::make_unique<ValidateLayer>());
   if (config.fault_seed) {

@@ -4,15 +4,15 @@
 //
 // Canonical order, outermost (sees requests first) to innermost:
 //
-//   metrics -> fault -> validate -> journal -> record -> serialize -> base
+//   metrics -> fault -> validate -> journal -> serialize -> base
 //
 // Rationale: metrics observes everything including injected faults;
 // faults fire at the front door before any real work; validation
-// normalizes args so the journal logs (and the recorder captures)
-// replayable calls; serialize is the innermost gate protecting
-// single-threaded backends. It is installed exactly when the base reports
-// thread_safe() == false (the reference cloud, baselines) and left out
-// for the sharded interpreter; no setting overrides that.
+// normalizes args so the journal logs replayable calls (a recording is a
+// data dir that journals reads too); serialize is the innermost gate
+// protecting single-threaded backends. It is installed exactly when the
+// base reports thread_safe() == false (the reference cloud, baselines)
+// and left out for the sharded interpreter; no setting overrides that.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +27,11 @@ namespace lce::stack {
 struct StackConfig {
   bool validate = true;
   bool metrics = true;
-  bool record = false;
   /// Engaged => install a FaultLayer seeded with this value.
   std::optional<std::uint64_t> fault_seed;
   FaultConfig fault;
   /// Engaged => the factory's layer is installed between validate and
-  /// record. The durability subsystem (src/persist) injects its
+  /// serialize. The durability subsystem (src/persist) injects its
   /// JournalLayer here, keeping lce_stack free of a persist dependency.
   std::function<std::unique_ptr<BackendLayer>()> journal;
 };

@@ -1,6 +1,6 @@
 // The composable backend layer stack: cross-cutting concerns of the invoke
-// path — serialization, validation, metrics, fault injection, recording,
-// read caching — factored into decorators over `CloudBackend` instead of
+// path — serialization, validation, metrics, fault injection — factored
+// into decorators over `CloudBackend` instead of
 // being hard-wired into the HTTP service or scattered across consumers.
 //
 //   lce::stack::StackConfig cfg;           // see config.h

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/errors.h"
-#include "common/strings.h"
 
 namespace lce::stack {
 
@@ -224,103 +223,6 @@ std::unique_ptr<BackendLayer> FaultLayer::clone_detached() const {
   auto copy = std::make_unique<FaultLayer>(seed_, cfg_);
   copy->rng_ = rng_;
   copy->injected_ = injected_;
-  return copy;
-}
-
-// ------------------------------------------------------------------- record
-
-namespace {
-
-/// Replace every string/ref matching a previously minted id with that
-/// call's "$k.id" placeholder (recursively through lists and maps).
-Value portabilize(const Value& v,
-                  const std::map<std::string, std::size_t, std::less<>>& minted) {
-  if (v.is_str() || v.is_ref()) {
-    auto it = minted.find(v.as_str());
-    if (it != minted.end()) return Value(strf("$", it->second, ".id"));
-    return v;
-  }
-  if (v.is_list()) {
-    Value::List out;
-    for (const auto& e : v.as_list()) out.push_back(portabilize(e, minted));
-    return Value(std::move(out));
-  }
-  if (v.is_map()) {
-    Value::Map out;
-    for (const auto& [k, e] : v.as_map()) out.emplace(k, portabilize(e, minted));
-    return Value(std::move(out));
-  }
-  return v;
-}
-
-}  // namespace
-
-ApiResponse RecordLayer::invoke(const ApiRequest& req) {
-  std::size_t index;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ApiRequest recorded = req;
-    for (auto& [k, v] : recorded.args) v = portabilize(v, minted_ids_);
-    if (auto it = minted_ids_.find(recorded.target); it != minted_ids_.end()) {
-      recorded.target = strf("$", it->second, ".id");
-    }
-    index = trace_.calls.size();
-    trace_.calls.push_back(std::move(recorded));
-    responses_.emplace_back();  // slot filled once the call completes
-  }
-  ApiResponse resp = inner().invoke(req);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A concurrent reset()/clear_trace() may have dropped our slot.
-    if (index < responses_.size()) responses_[index] = resp;
-    if (resp.ok) {
-      const Value* id = resp.data.get("id");
-      if (id != nullptr && (id->is_str() || id->is_ref())) {
-        minted_ids_.emplace(id->as_str(), index);
-      }
-    }
-  }
-  return resp;
-}
-
-void RecordLayer::reset() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    trace_.calls.clear();
-    responses_.clear();
-    minted_ids_.clear();
-  }
-  inner().reset();
-}
-
-Trace RecordLayer::trace() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return trace_;
-}
-
-std::size_t RecordLayer::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return trace_.calls.size();
-}
-
-void RecordLayer::clear_trace() {
-  std::lock_guard<std::mutex> lock(mu_);
-  trace_.calls.clear();
-  responses_.clear();
-  minted_ids_.clear();
-}
-
-std::vector<ApiResponse> RecordLayer::responses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return responses_;
-}
-
-std::unique_ptr<BackendLayer> RecordLayer::clone_detached() const {
-  auto copy = std::make_unique<RecordLayer>();
-  std::lock_guard<std::mutex> lock(mu_);
-  copy->trace_ = trace_;
-  copy->responses_ = responses_;
-  copy->minted_ids_ = minted_ids_;
   return copy;
 }
 

@@ -1,4 +1,4 @@
-// The five stock layers (see layer.h for the decorator machinery and
+// The four stock layers (see layer.h for the decorator machinery and
 // config.h for the canonical ordering):
 //
 //   SerializeLayer  mutex gate so single-threaded backends survive
@@ -9,8 +9,10 @@
 //                   snapshotable as a Value (GET /metrics)
 //   FaultLayer      seeded, deterministic injection of throttling and
 //                   internal errors — cloud-realistic chaos for clients
-//   RecordLayer     captures live calls into a replayable Trace (corpus
-//                   growth from real traffic)
+//
+// Recording live traffic is journaling: `lce serve --record DIR` is a data
+// dir that also logs reads (persist/journal.h), and the script conversion
+// lives in persist::trace_from_records.
 //
 // Every stateful layer is internally thread-safe (its own mutex), because
 // layers above SerializeLayer see concurrent callers.
@@ -141,40 +143,6 @@ class FaultLayer final : public BackendLayer {
   mutable std::mutex mu_;
   Rng rng_;
   std::uint64_t injected_ = 0;
-};
-
-/// Captures every request that reaches it into a Trace replayable via
-/// run_trace / print_trace_script. Sits below ValidateLayer, so it records
-/// normalized calls.
-/// Ids of resources created earlier in the recording are rewritten to
-/// "$k.id" placeholders, so the captured trace is backend-portable (the
-/// script format has no concrete-ref syntax; replays mint their own ids).
-class RecordLayer final : public BackendLayer {
- public:
-  std::string layer_name() const override { return "record"; }
-  ApiResponse invoke(const ApiRequest& req) override;
-  /// reset() starts a fresh recording: the captured trace always replays
-  /// from a reset backend, which is what run_trace assumes.
-  void reset() override;
-
-  Trace trace() const;
-  std::size_t recorded() const;
-  void clear_trace();
-
-  /// Responses index-aligned with trace().calls (a call that is still in
-  /// flight holds a default-constructed slot). Together with the trace
-  /// this is everything `lce trace export` writes into a record file.
-  std::vector<ApiResponse> responses() const;
-
- protected:
-  std::unique_ptr<BackendLayer> clone_detached() const override;
-
- private:
-  mutable std::mutex mu_;
-  Trace trace_;
-  std::vector<ApiResponse> responses_;  // index-aligned with trace_.calls
-  /// id string -> index of the recorded call whose response minted it.
-  std::map<std::string, std::size_t, std::less<>> minted_ids_;
 };
 
 }  // namespace lce::stack

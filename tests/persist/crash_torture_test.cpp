@@ -53,14 +53,17 @@ constexpr bool kTsan = false;
 #endif
 
 /// Child body: recover from `dir`, then journal creates from `threads`
-/// writer threads until killed. Never returns.
+/// writer threads until killed. With `log_reads` (a recording, as `lce
+/// serve --record` opens it) each create is followed by a journaled
+/// describe of what it made. Never returns.
 [[noreturn]] void writer_child(const std::string& dir, std::uint64_t snapshot_every,
-                               int threads) {
+                               int threads, bool log_reads) {
   auto it = make_interp();
   PersistOptions opts;
   opts.data_dir = dir;
   opts.sync = WalSync::kNone;  // kill -9 is the crash model: page cache survives
   opts.snapshot_every = snapshot_every;
+  opts.log_reads = log_reads;
   std::string error;
   auto mgr = PersistManager::open(it, opts, &error);
   if (mgr == nullptr) _exit(3);
@@ -69,10 +72,7 @@ constexpr bool kTsan = false;
   writers.reserve(threads);
   for (int t = 0; t < threads; ++t) {
     writers.emplace_back([&, t] {
-      for (std::uint64_t i = 0;; ++i) {
-        ApiRequest req{t % 2 == 0 ? "CreateNic" : "CreatePublicIp",
-                       {{t % 2 == 0 ? "zone" : "region", Value("us-east")}},
-                       ""};
+      auto commit = [&](const ApiRequest& req) {
         ApiResponse resp;
         {
           std::shared_lock<std::shared_mutex> gate(mgr->gate());
@@ -80,6 +80,18 @@ constexpr bool kTsan = false;
           if (!mgr->journal_call(req, resp)) _exit(4);
         }
         mgr->maybe_auto_snapshot();
+        return resp;
+      };
+      const bool nic = t % 2 == 0;
+      for (;;) {
+        const ApiResponse created =
+            commit({nic ? "CreateNic" : "CreatePublicIp",
+                    {{nic ? "zone" : "region", Value("us-east")}},
+                    ""});
+        if (log_reads && created.ok) {
+          commit({nic ? "DescribeNic" : "DescribePublicIp", {},
+                  std::string(created.data.get("id")->as_str())});
+        }
       }
     });
   }
@@ -97,7 +109,8 @@ std::uint64_t dir_bytes(const std::string& dir) {
   return total;
 }
 
-void run_torture(std::uint64_t snapshot_every, int cycles, int writer_threads) {
+void run_torture(std::uint64_t snapshot_every, int cycles, int writer_threads,
+                 bool log_reads = false) {
   if (kTsan) GTEST_SKIP() << "fork-based torture is excluded under TSan";
 
   ScratchDir dir;
@@ -107,7 +120,7 @@ void run_torture(std::uint64_t snapshot_every, int cycles, int writer_threads) {
   for (int cycle = 0; cycle < cycles; ++cycle) {
     pid_t pid = ::fork();
     ASSERT_GE(pid, 0) << "fork failed";
-    if (pid == 0) writer_child(dir.path(), snapshot_every, writer_threads);
+    if (pid == 0) writer_child(dir.path(), snapshot_every, writer_threads, log_reads);
 
     // Let the child write for a bit; require growth so most cycles kill a
     // log that is actively being extended (first iterations may catch the
@@ -161,6 +174,12 @@ TEST(CrashTorture, KillDuringSnapshotRotation) {
 }
 
 TEST(CrashTorture, KillSingleWriterFastCycles) { run_torture(10, 8, 1); }
+
+TEST(CrashTorture, KillDuringRecordedReadsAndWrites) {
+  // A recording journals reads too and never snapshots: every surviving
+  // describe's response must reproduce on replay as well.
+  run_torture(0, 5, 3, /*log_reads=*/true);
+}
 
 }  // namespace
 }  // namespace lce::persist

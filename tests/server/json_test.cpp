@@ -124,7 +124,7 @@ TEST(Json, TrickyStringsSurviveEncodeParseRoundTrip) {
       "newline\nand\ttab\rand\bback\fform",
       std::string("embedded\0nul", 12),
       "\x01\x02\x1F",                    // control chars -> \u00XX escapes
-      "\xC3\xA9 caf\xC3\xA9 \xE2\x82\xAC100",  // raw UTF-8 passes through
+      "\xC3\xA9 caf\xC3\xA9 \xE2\x82\xAC" "100",  // raw UTF-8 passes through
       "trailing backslash \\",
       "\\u0041 is a literal, not an escape",
   };

@@ -21,17 +21,6 @@
 namespace lce::server {
 namespace {
 
-TEST(ResourceIdShape, Heuristic) {
-  EXPECT_TRUE(looks_like_resource_id("vpc-00000001"));
-  EXPECT_TRUE(looks_like_resource_id("tgw-attach-00000042"));
-  EXPECT_FALSE(looks_like_resource_id("10.0.0.0/16"));
-  EXPECT_FALSE(looks_like_resource_id("us-east"));       // 4 trailing chars
-  EXPECT_FALSE(looks_like_resource_id("vpc-1234"));      // too few digits
-  EXPECT_FALSE(looks_like_resource_id("VPC-00000001"));  // uppercase prefix
-  EXPECT_FALSE(looks_like_resource_id("-00000001"));
-  EXPECT_FALSE(looks_like_resource_id(""));
-}
-
 class ServiceTest : public ::testing::Test {
  protected:
   // Requests route through the default layer stack (metrics -> validate ->
@@ -107,7 +96,7 @@ TEST_F(ServiceTest, InvokeSuccessReturnsData) {
   const Value* data = body->get("Data");
   ASSERT_NE(data, nullptr);
   EXPECT_EQ(data->get("cidr_block")->as_str(), "10.0.0.0/16");
-  EXPECT_TRUE(looks_like_resource_id(data->get("id")->as_str()));
+  EXPECT_TRUE(stack::looks_like_resource_id(data->get("id")->as_str()));
 }
 
 TEST_F(ServiceTest, InvokeFailureCarriesCloudErrorCode) {

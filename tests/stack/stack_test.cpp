@@ -1,5 +1,5 @@
 // The composable backend layer stack (src/stack): decorator forwarding,
-// clone semantics (chain AND layer state), the five stock layers, and the
+// clone semantics (chain AND layer state), the four stock layers, and the
 // canonical build_stack ordering. Determinism-sensitive pieces — the fault
 // sequence, clone continuation — are pinned hard, because FaultLayer is
 // advertised as seeded chaos that reproduces bit-for-bit.
@@ -14,7 +14,6 @@
 
 #include "cloud/reference_cloud.h"
 #include "common/errors.h"
-#include "core/trace_script.h"
 #include "docs/corpus.h"
 #include "stack/layer.h"
 #include "stack/layers.h"
@@ -245,86 +244,6 @@ TEST(FaultLayerTest, ZeroRatesNeverInject) {
   EXPECT_EQ(fault.injected(), 0u);
 }
 
-TEST(RecordLayerTest, CapturedTraceReplaysIdentically) {
-  auto cloud = make_cloud();
-  RecordLayer record;
-  record.attach(cloud);
-
-  auto vpc = record.invoke(create_vpc());
-  ASSERT_TRUE(vpc.ok);
-  auto bad = record.invoke(create_vpc("10.0.0.0/8"));
-  ASSERT_FALSE(bad.ok);
-  ASSERT_EQ(record.recorded(), 2u);
-
-  // Replay the capture on a FRESH backend: same responses call for call
-  // (run_trace resets first, matching RecordLayer's reset-clears contract).
-  auto fresh = make_cloud();
-  auto replayed = run_trace(fresh, record.trace());
-  ASSERT_EQ(replayed.size(), 2u);
-  EXPECT_TRUE(replayed[0].aligned_with(vpc));
-  EXPECT_TRUE(replayed[1].aligned_with(bad));
-}
-
-TEST(RecordLayerTest, MintedIdsRecordAsPortablePlaceholders) {
-  // The script format has no concrete-ref syntax, and a replaying backend
-  // mints its OWN ids — so recorded args/targets that name resources
-  // created earlier in the recording must come out as "$k.id".
-  auto cloud = make_cloud();
-  RecordLayer record;
-  record.attach(cloud);
-
-  auto vpc = record.invoke(create_vpc());
-  ASSERT_TRUE(vpc.ok);
-  std::string vpc_id(vpc.data.get("id")->as_str());
-  auto subnet = record.invoke({"CreateSubnet",
-                               {{"vpc", Value::ref(vpc_id)},
-                                {"cidr_block", Value("10.0.1.0/24")},
-                                {"zone", Value("us-east")}},
-                               ""});
-  ASSERT_TRUE(subnet.ok) << subnet.to_text();
-  auto destroy = record.invoke({"DeleteSubnet", {}, std::string(subnet.data.get("id")->as_str())});
-  ASSERT_TRUE(destroy.ok) << destroy.to_text();
-
-  Trace trace = record.trace();
-  EXPECT_EQ(trace.calls[1].args.at("vpc").as_str(), "$0.id");
-  EXPECT_EQ(trace.calls[2].target, "$1.id");
-
-  // The printed script survives a parse round-trip and replays on a fresh
-  // backend (whose minted ids need not match the recording's).
-  std::string script = core::print_trace_script(trace);
-  EXPECT_NE(script.find("vpc=$0"), std::string::npos);
-  core::ScriptError err;
-  auto parsed = core::parse_trace_script(script, &err);
-  ASSERT_TRUE(parsed) << err.to_text();
-  auto fresh = make_cloud();
-  auto replayed = run_trace(fresh, *parsed);
-  ASSERT_EQ(replayed.size(), 3u);
-  for (const auto& r : replayed) EXPECT_TRUE(r.ok) << r.to_text();
-}
-
-TEST(RecordLayerTest, TraceRoundTripsThroughScriptFormat) {
-  auto cloud = make_cloud();
-  RecordLayer record;
-  record.attach(cloud);
-  ASSERT_TRUE(record.invoke(create_vpc()).ok);
-
-  std::string script = core::print_trace_script(record.trace());
-  core::ScriptError err;
-  auto parsed = core::parse_trace_script(script, &err);
-  ASSERT_TRUE(parsed) << err.to_text();
-  EXPECT_EQ(parsed->calls.size(), 1u);
-  EXPECT_EQ(parsed->calls[0].api, "CreateVpc");
-}
-
-TEST(RecordLayerTest, ResetStartsAFreshRecording) {
-  auto cloud = make_cloud();
-  RecordLayer record;
-  record.attach(cloud);
-  ASSERT_TRUE(record.invoke(create_vpc()).ok);
-  record.reset();
-  EXPECT_EQ(record.recorded(), 0u);
-}
-
 /// A reference cloud that reports thread_safe(), as the sharded
 /// interpreter does, so build_stack leaves the serialize gate out. The
 /// tests that use it call it from one thread.
@@ -344,17 +263,14 @@ class ThreadSafeCloud final : public CloudBackend {
 TEST(LayerStackTest, BuildStackInstallsCanonicalOrder) {
   auto cloud = make_cloud();
   StackConfig config;
-  config.record = true;
   config.fault_seed = 9;
   LayerStack stack = build_stack(cloud, config);
 
   EXPECT_EQ(stack.layer_names(),
-            (std::vector<std::string>{"metrics", "fault", "validate", "record",
-                                      "serialize"}));
+            (std::vector<std::string>{"metrics", "fault", "validate", "serialize"}));
   EXPECT_EQ(stack.name(), "reference-cloud");
   EXPECT_NE(stack.find<MetricsLayer>(), nullptr);
   EXPECT_NE(stack.find<FaultLayer>(), nullptr);
-  EXPECT_NE(stack.find<RecordLayer>(), nullptr);
 }
 
 TEST(LayerStackTest, EmptyConfigForwardsStraightToBase) {
@@ -375,14 +291,12 @@ TEST(LayerStackTest, EmptyConfigForwardsStraightToBase) {
 
 TEST(LayerStackTest, StackedInvokeFlowsThroughEveryLayer) {
   auto cloud = make_cloud();
-  StackConfig config;
-  config.record = true;
-  LayerStack stack = build_stack(cloud, config);
+  LayerStack stack = build_stack(cloud);
 
   auto vpc = stack.invoke(create_vpc());
   ASSERT_TRUE(vpc.ok);
-  // Wire-shaped id works end to end (validate), and every call is recorded
-  // (record) and counted (metrics).
+  // Wire-shaped id works end to end (validate), and every call is counted
+  // (metrics).
   auto subnet = stack.invoke({"CreateSubnet",
                               {{"vpc", Value(vpc.data.get("id")->as_str())},
                                {"cidr_block", Value("10.0.1.0/24")},
@@ -394,14 +308,11 @@ TEST(LayerStackTest, StackedInvokeFlowsThroughEveryLayer) {
   stack.invoke(describe);
 
   EXPECT_EQ(stack.find<MetricsLayer>()->calls(), 4u);
-  EXPECT_EQ(stack.find<RecordLayer>()->recorded(), 4u);
 }
 
 TEST(LayerStackTest, CloneCopiesChainAndLayerState) {
   auto cloud = make_cloud();
-  StackConfig config;
-  config.record = true;
-  LayerStack stack = build_stack(cloud, config);
+  LayerStack stack = build_stack(cloud);
   ASSERT_TRUE(stack.invoke(create_vpc()).ok);
 
   auto copy = stack.clone();
@@ -411,7 +322,6 @@ TEST(LayerStackTest, CloneCopiesChainAndLayerState) {
   EXPECT_EQ(cloned->layer_names(), stack.layer_names());
   EXPECT_EQ(cloned->snapshot().to_text(), stack.snapshot().to_text());
   EXPECT_EQ(cloned->find<MetricsLayer>()->calls(), 1u);
-  EXPECT_EQ(cloned->find<RecordLayer>()->recorded(), 1u);
 
   // Divergence after the clone point stays private to each stack.
   ASSERT_TRUE(cloned->invoke(create_vpc("10.1.0.0/16")).ok);

@@ -14,19 +14,20 @@
 //                                    identical for every worker count);
 //                                    --metrics prints per-API call counts
 //   lce serve [provider] [port] [--metrics|--no-metrics] [--fault-seed N]
-//             [--record FILE] [--data-dir DIR]
-//             [--snapshot-every N] [--wal-sync none|batch] [--no-stdin]
+//             [--record DIR | --data-dir DIR [--snapshot-every N]]
+//             [--wal-sync none|batch] [--no-stdin]
 //                                    serve the emulator over HTTP
 //                                    (LocalStack-style; Ctrl-D to stop)
 //                                    through the lce::stack layer chain:
 //                                    GET /metrics for counters, --fault-seed
-//                                    for deterministic throttle/error chaos,
-//                                    --record to dump traffic as a trace
-//                                    script (or .lcw record file) on
-//                                    shutdown; --data-dir makes the store
-//                                    durable: recover on boot, journal
-//                                    every write, snapshot + truncate the
-//                                    log every N records
+//                                    for deterministic throttle/error chaos;
+//                                    --data-dir makes the store durable:
+//                                    recover on boot, journal every write,
+//                                    snapshot + truncate the log every N
+//                                    records; --record DIR is a data dir
+//                                    that journals reads too and never
+//                                    snapshots, so DIR/wal-00000001.lcw
+//                                    holds the whole session as it runs
 //   lce snapshot [port]              ask a running durable endpoint to
 //                                    snapshot now (POST /admin/snapshot)
 //   lce replay <dir|file.lcw> [provider]
@@ -121,9 +122,9 @@ int usage() {
                "                   GET /metrics endpoint (default on)\n"
                "      --fault-seed N  inject deterministic RequestLimitExceeded /\n"
                "                   InternalError faults seeded with N\n"
-               "      --record FILE   capture live traffic; write it as a\n"
-               "                   replayable trace script (.lcw extension =\n"
-               "                   binary record file with responses) on shutdown\n"
+               "      --record DIR    a data dir that also journals reads and never\n"
+               "                   snapshots (not with --data-dir/--snapshot-every);\n"
+               "                   script it: lce trace import DIR/wal-00000001.lcw\n"
                "      --data-dir DIR  durable store: recover on boot, write-ahead\n"
                "                   log every write, replay the tail after a crash\n"
                "      --snapshot-every N  snapshot + truncate the log once the\n"
@@ -326,7 +327,8 @@ int main(int argc, char** argv) {
     std::string provider = "aws";
     int port = 0;
     stack::StackConfig config;
-    std::string record_path;
+    std::string record_dir;
+    bool durable_flag = false;  // --data-dir or --snapshot-every given
     core::PipelineOptions pipeline;
     persist::PersistOptions popts;
     popts.snapshot_every = 10000;
@@ -348,12 +350,13 @@ int main(int argc, char** argv) {
         if (!parse_u64(argv[++i], seed)) return usage();
         config.fault_seed = seed;
       } else if (arg == "--record" && i + 1 < argc) {
-        config.record = true;
-        record_path = argv[++i];
+        record_dir = argv[++i];
       } else if (arg == "--data-dir" && i + 1 < argc) {
         popts.data_dir = argv[++i];
+        durable_flag = true;
       } else if (arg == "--snapshot-every" && i + 1 < argc) {
         if (!parse_u64(argv[++i], popts.snapshot_every)) return usage();
+        durable_flag = true;
       } else if (arg == "--wal-sync" && i + 1 < argc) {
         std::string mode = argv[++i];
         if (mode == "none") {
@@ -386,6 +389,14 @@ int main(int argc, char** argv) {
       } else {
         return usage();
       }
+    }
+    if (!record_dir.empty()) {
+      // A recording replays from reset, so it neither recovers a data dir
+      // nor snapshots away the epoch that holds the session's start.
+      if (durable_flag) return usage();
+      popts.data_dir = record_dir;
+      popts.log_reads = true;
+      popts.snapshot_every = 0;
     }
     // --spec serves a hand-written spec on a standalone interpreter;
     // otherwise the full learned pipeline runs.
@@ -482,33 +493,6 @@ int main(int argc, char** argv) {
     pacer_stop.store(true, std::memory_order_relaxed);
     if (pacer.joinable()) pacer.join();
     endpoint.stop();
-    if (auto* rec = endpoint.stack().find<stack::RecordLayer>()) {
-      Trace trace = rec->trace();
-      trace.label = record_path;
-      if (is_record_file(record_path)) {
-        auto records = persist::records_from_trace(trace);
-        auto responses = rec->responses();
-        for (std::size_t i = 0; i < records.size() && i < responses.size(); ++i) {
-          records[i].has_response = true;
-          records[i].response = responses[i];
-          records[i].minted_ids = persist::collect_minted_ids(responses[i]);
-        }
-        std::string error;
-        if (!persist::write_wal_file(record_path, records, &error)) {
-          std::cerr << "lce: " << error << "\n";
-          return 1;
-        }
-      } else {
-        std::ofstream out(record_path);
-        if (!out) {
-          std::cerr << "lce: cannot write " << record_path << "\n";
-          return 1;
-        }
-        out << core::print_trace_script(trace);
-      }
-      std::cout << "recorded " << trace.calls.size() << " call(s) to " << record_path
-                << "\n";
-    }
     return 0;
   }
   if (cmd == "snapshot") {
@@ -617,8 +601,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     out << core::print_trace_script(trace);
+    // Every record is a call or a reset; the trace starts after the last reset.
     std::cout << "imported " << trace.calls.size() << " call(s) to " << out_path
-              << "\n";
+              << ", left out " << scan.records.size() - trace.calls.size()
+              << " record(s) up to the last reset\n";
     return 0;
   }
   if (cmd == "coverage") {
